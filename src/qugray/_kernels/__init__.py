@@ -1,31 +1,8 @@
-"""Propagation kernel selection.
+"""Propagation kernel: one numpy implementation (see `_prop_py`)."""
 
-Imports the compiled extension when available, otherwise the pure-numpy
-fallback. Both expose the same two functions; `backend()` reports which one
-is live and `get_backends()` returns every importable implementation for
-benchmarks and cross-checks.
-"""
-
-from . import _prop_py
-
-try:
-    from . import _prop_cy as _impl
-    _BACKEND = "compiled"
-except ImportError:
-    _impl = _prop_py
-    _BACKEND = "python"
-
-propagate_piecewise = _impl.propagate_piecewise
-propagate_piecewise_batch = _impl.propagate_piecewise_batch
+from ._prop_py import propagate_piecewise, propagate_piecewise_batch
 
 
 def backend():
-    return _BACKEND
-
-
-def get_backends():
-    """name -> module for every importable kernel implementation."""
-    impls = {"python": _prop_py}
-    if _BACKEND == "compiled":
-        impls["compiled"] = _impl
-    return impls
+    """Name of the live propagation kernel."""
+    return "python"

@@ -1,25 +1,177 @@
-"""Pure-numpy piecewise-constant propagator.
+"""Piecewise-constant propagator for the real symmetric qudit Hamiltonian.
 
-Strategy: batch the per-step Hermitian eigendecompositions (np.linalg.eigh
-accepts stacked matrices), build all step unitaries at once, then combine
-them with a pairwise tree product along the time axis. The tree keeps every
-matmul batched while preserving chronological order exactly.
+H_k = diag(drift + noise_k) + wave_k * coupling is real symmetric, so every
+step exponential splits into real matrix functions,
+
+    exp(-i H_k dt) = e^{-i mu_k dt} (cos X_k - i sin X_k),
+    X_k = dt (H_k - mu_k I),   mu_k = tr H_k / d.
+
+cos and sin are Taylor polynomials in Y = X^2, evaluated Paterson-Stockmeyer
+style on shared powers of Y. The degree, and a power-of-two scaling undone by
+double-angle steps, follow from a bound on max_k ||X_k||_1 so that the
+truncation error stays below the unit roundoff (cf. Al-Mohy & Higham, SIAM J.
+Matrix Anal. Appl. 31, 970 (2009)). No per-matrix LAPACK call is made. The
+trace phases are scalars, so their product is applied once at the end.
+
+Layout: structure of arrays. A stack of d x d matrices is a d x d nested
+list whose entry [i][j] holds that matrix element for the whole stack as one
+(realizations, steps) array, so a matrix product is d^3 elementwise vector
+operations. Polynomials in X are symmetric and commute, so their products
+compute the upper triangle only and share each entry with its mirror. The
+time-ordered product is a pairwise tree over the step axis; once a level
+holds few matrices the per-call overhead outweighs the vector length, and the
+remaining levels run as stacked np.matmul.
 """
+
+import math
 
 import numpy as np
 
+# Taylor degree in Y = X^2: the largest needed for ||X||_1 <= 1 at unit
+# roundoff; larger norms are scaled down by powers of two.
+_MAX_DEGREE = 8
+# Paterson-Stockmeyer block size: powers Y .. Y^3 are shared by cos and sin.
+_BLOCK = 3
+# ||X||_1 up to which degree q truncates below the unit roundoff, judged by
+# the first omitted cos term theta^(2q+2) / (2q+2)!, which dominates the tail.
+_THETA = [(2.0 ** -53 * math.factorial(2 * q + 2)) ** (1.0 / (2 * q + 2))
+          for q in range(_MAX_DEGREE + 1)]
+_COS = [(-1) ** n / math.factorial(2 * n) for n in range(_MAX_DEGREE + 1)]
+# coefficients of -sin(X) / X, so that the polynomial times X is N = -sin X
+_NEG_SINC = [-(-1) ** n / math.factorial(2 * n + 1)
+             for n in range(_MAX_DEGREE + 1)]
+# levels of the tree product holding fewer matrices than this use np.matmul
+_MATMUL_BELOW = 256
 
-def _step_unitaries(h_stack, dt):
-    """exp(-i H dt) for a (..., d, d) stack of Hermitian matrices."""
-    evals, evecs = np.linalg.eigh(h_stack)
-    phases = np.exp(-1j * dt * evals)
-    return np.einsum("...ij,...j,...kj->...ik", evecs, phases, evecs.conj())
+
+def _upper(d):
+    return [(i, j) for i in range(d) for j in range(i, d)]
 
 
-def _chain(unitaries):
-    """Ordered product U[M-1] @ ... @ U[0] along axis -3, batched."""
-    stack = unitaries
+def _mirror(entries, d):
+    """Nested d x d list from upper-triangle entries in `_upper` order."""
+    out = [[None] * d for _ in range(d)]
+    for (i, j), value in zip(_upper(d), entries):
+        out[i][j] = out[j][i] = value
+    return out
+
+
+def _entry(a, b, i, j):
+    """(a @ b)[i][j] for nested-list stacks, as d elementwise products."""
+    acc = a[i][0] * b[0][j]
+    for k in range(1, len(a)):
+        acc += a[i][k] * b[k][j]
+    return acc
+
+
+def _sym_matmul(a, b):
+    """a @ b for commuting symmetric stacks (the product is symmetric)."""
+    d = len(a)
+    return _mirror([_entry(a, b, i, j) for i, j in _upper(d)], d)
+
+
+def _polynomial(coefs, powers):
+    """sum_n coefs[n] Y^n with powers[m] = Y^m for m >= 1, by Horner's rule
+    in Y^p over blocks of p terms (p = len(powers) - 1); the top block also
+    takes the Y^p term."""
+    p = len(powers) - 1
+    d = len(powers[1])
+    n_blocks = max(1, -(-(len(coefs) - 1) // p))
+    acc = None
+    for b in reversed(range(n_blocks)):
+        block = coefs[b * p:] if b == n_blocks - 1 else coefs[b * p:(b + 1) * p]
+        prod = None if acc is None else _sym_matmul(acc, powers[p])
+        entries = []
+        for i, j in _upper(d):
+            if prod is None:
+                value = block[1] * powers[1][i][j]
+            else:
+                value = prod[i][j]
+                value += block[1] * powers[1][i][j]
+            for m in range(2, len(block)):
+                value += block[m] * powers[m][i][j]
+            if i == j:
+                value += block[0]
+            entries.append(value)
+        acc = _mirror(entries, d)
+    return acc
+
+
+def _cos_neg_sin(x):
+    """(cos X, -sin X) for a symmetric stack X, both symmetric stacks."""
+    d = len(x)
+    theta = max(sum(np.abs(x[i][j]).max() for j in range(d))
+                for i in range(d))
+    degree = next((q for q in range(1, _MAX_DEGREE + 1) if theta <= _THETA[q]),
+                  _MAX_DEGREE)
+    squarings = 0
+    if theta > _THETA[_MAX_DEGREE]:
+        squarings = math.ceil(math.log2(theta / _THETA[_MAX_DEGREE]))
+        scale = 2.0 ** -squarings
+        x = _mirror([x[i][j] * scale for i, j in _upper(d)], d)
+    powers = [None, _sym_matmul(x, x)]
+    while len(powers) <= min(degree, _BLOCK):
+        powers.append(_sym_matmul(powers[-1], powers[1]))
+    cos = _polynomial(_COS[:degree + 1], powers)
+    neg_sin = _sym_matmul(x, _polynomial(_NEG_SINC[:degree + 1], powers))
+    for _ in range(squarings):
+        # cos 2X = 2 cos^2 X - I, sin 2X = 2 sin X cos X
+        neg_sin = _sym_matmul(neg_sin, cos)
+        cos = _sym_matmul(cos, cos)
+        for i, j in _upper(d):
+            neg_sin[i][j] *= 2.0
+            cos[i][j] *= 2.0
+            if i == j:
+                cos[i][j] -= 1.0
+    return cos, neg_sin
+
+
+def _step_unitaries(drift_diag, coupling, wave, noise_diags, dt):
+    """Traceless-part step unitaries cos X_k - i sin X_k as a (c, M) stack,
+    and the summed trace phase dt * sum_k mu_k per realization, shape (c,)."""
+    c, M, d = noise_diags.shape
+    diag = drift_diag + noise_diags + wave[:, None] * np.diag(coupling)
+    mu = diag.mean(axis=-1)
+    x = [[None] * d for _ in range(d)]
+    for i in range(d):
+        x[i][i] = dt * (diag[..., i] - mu)
+        for j in range(i + 1, d):
+            x[i][j] = x[j][i] = np.broadcast_to(
+                (dt * coupling[i, j]) * wave, (c, M)).copy()
+    cos, neg_sin = _cos_neg_sin(x)
+    entries = []
+    for i, j in _upper(d):
+        u = np.empty((c, M), dtype=complex)
+        u.real = cos[i][j]
+        u.imag = neg_sin[i][j]
+        entries.append(u)
+    return _mirror(entries, d), dt * mu.sum(axis=-1)
+
+
+def _stacked(u, index=slice(None)):
+    """Nested-list stack -> ndarray (..., d, d) of the step slice `index`."""
+    d = len(u)
+    first = u[0][0][:, index]
+    out = np.empty(first.shape + (d, d), dtype=complex)
+    for i in range(d):
+        for j in range(d):
+            out[..., i, j] = u[i][j][:, index]
+    return out
+
+
+def _chain(u):
+    """Ordered product U[M-1] @ ... @ U[0] along the step axis -> (c, d, d)."""
+    d = len(u)
     leftovers = []
+    while u[0][0].size >= _MATMUL_BELOW and u[0][0].shape[1] > 1:
+        if u[0][0].shape[1] % 2 == 1:
+            leftovers.append(_stacked(u, -1))
+            u = [[entry[:, :-1] for entry in row] for row in u]
+        later = [[entry[:, 1::2] for entry in row] for row in u]
+        earlier = [[entry[:, 0::2] for entry in row] for row in u]
+        u = [[_entry(later, earlier, i, j) for j in range(d)]
+             for i in range(d)]
+    stack = _stacked(u)
     while stack.shape[-3] > 1:
         if stack.shape[-3] % 2 == 1:
             leftovers.append(stack[..., -1, :, :])
@@ -31,47 +183,51 @@ def _chain(unitaries):
     return out
 
 
-def _hamiltonian_stack(drift_diag, coupling, wave, noise_diag):
-    """H_k = diag(drift + noise_k) + wave_k * coupling, shape (..., M, d, d)."""
-    d = drift_diag.shape[0]
-    if noise_diag is None:
-        noise_diag = np.zeros((wave.shape[0], d))
-    diag = drift_diag + noise_diag
-    h = np.zeros(diag.shape[:-1] + (d, d), dtype=complex)
-    h += wave[:, None, None] * coupling
-    idx = np.arange(d)
-    h[..., idx, idx] += diag
-    return h
+def _real_coupling(coupling):
+    coupling = np.asarray(coupling)
+    if np.iscomplexobj(coupling):
+        if np.any(coupling.imag != 0.0):
+            raise ValueError("coupling must be real symmetric; the kernel "
+                             "evaluates cos/sin of real step generators")
+        coupling = coupling.real
+    return coupling.astype(float)
+
+
+def _propagate(drift_diag, coupling, wave, noise_diags, dt):
+    u, phase = _step_unitaries(drift_diag, coupling, wave, noise_diags, dt)
+    return _chain(u) * np.exp(-1j * phase)[:, None, None]
 
 
 def propagate_piecewise(drift_diag, coupling, wave, noise_diag, dt):
     """Time-ordered product over one noise trajectory (or None for closed).
 
-    drift_diag: (d,) float, coupling: (d, d) complex Hermitian,
-    wave: (M,) float, noise_diag: (M, d) float or None. Returns (d, d).
+    drift_diag: (d,) float, coupling: (d, d) real symmetric (complex dtype
+    with zero imaginary part accepted), wave: (M,) float, noise_diag: (M, d)
+    float or None. Returns (d, d).
     """
-    h = _hamiltonian_stack(np.asarray(drift_diag, dtype=float),
-                           np.asarray(coupling, dtype=complex),
-                           np.asarray(wave, dtype=float),
-                           None if noise_diag is None else np.asarray(noise_diag, dtype=float))
-    return _chain(_step_unitaries(h, dt))
+    drift_diag = np.asarray(drift_diag, dtype=float)
+    wave = np.asarray(wave, dtype=float)
+    if noise_diag is None:
+        noise = np.zeros((1, wave.shape[0], drift_diag.shape[0]))
+    else:
+        noise = np.asarray(noise_diag, dtype=float)[None]
+    return _propagate(drift_diag, _real_coupling(coupling), wave, noise, dt)[0]
 
 
 def propagate_piecewise_batch(drift_diag, coupling, wave, noise_diags, dt,
                               chunk=32):
     """Propagators for a (K, M, d) stack of noise trajectories -> (K, d, d).
 
-    Chunked over realizations to bound the memory of the batched eigh.
+    Chunked over realizations to bound the working set.
     """
     noise_diags = np.asarray(noise_diags, dtype=float)
-    K, M, d = noise_diags.shape
+    K, _, d = noise_diags.shape
     out = np.empty((K, d, d), dtype=complex)
     drift_diag = np.asarray(drift_diag, dtype=float)
-    coupling = np.asarray(coupling, dtype=complex)
+    coupling = _real_coupling(coupling)
     wave = np.asarray(wave, dtype=float)
     for start in range(0, K, chunk):
         stop = min(start + chunk, K)
-        h = _hamiltonian_stack(drift_diag, coupling, wave,
-                               noise_diags[start:stop])
-        out[start:stop] = _chain(_step_unitaries(h, dt))
+        out[start:stop] = _propagate(drift_diag, coupling, wave,
+                                     noise_diags[start:stop], dt)
     return out

@@ -21,7 +21,8 @@ import numpy as np
 from . import noisegen, pulses
 from ._kernels import propagate_piecewise, propagate_piecewise_batch
 from .algebra import gell_mann_basis
-from .errors import DatasetIOError, InvalidConfigError, InvertibilityError
+from .errors import DatasetIOError, InvalidConfigError, InvertibilityError, \
+    QugrayError
 
 DATASET_ORDERING_VERSION = 1
 # default split ratio: 8192 train / 1840 test at the full 10032-example scale
@@ -372,8 +373,20 @@ def load_dataset(path):
         raise DatasetIOError(f"malformed dataset {path}: {exc}") from exc
     if manifest.get("format") != "qugray-dataset":
         raise DatasetIOError(f"{path}: missing or foreign manifest")
-    d = int(manifest["config"]["dim"])
-    n_max = int(manifest["config"]["n_max"])
+    try:
+        config = SystemConfig.from_dict(manifest["config"])
+        n_split = int(manifest["n_train"]) + int(manifest["n_test"])
+    except (KeyError, TypeError, ValueError, QugrayError) as exc:
+        raise DatasetIOError(f"{path}: malformed manifest: {exc}") from exc
+    if manifest.get("config_hash") != config.config_hash():
+        raise DatasetIOError(f"{path}: config_hash does not match the "
+                             "manifest's config")
+    if n_split != len(examples):
+        raise DatasetIOError(f"{path}: manifest split n_train + n_test = "
+                             f"{n_split} but the file holds {len(examples)} "
+                             "examples")
+    d = config.dim
+    n_max = config.n_max
     for i, ex in enumerate(examples):
         if ex.theta.size != 2 * (d - 1) * n_max or \
                 ex.expectations.size != d * (d * d - 1) ** 2:

@@ -44,4 +44,5 @@ class OptimizationFailure(QugrayError):
 
 
 class TrainingDiverged(QugrayError):
-    """Training loss blew up past the abort threshold."""
+    """Training loss blew up past the abort threshold, or a loss or
+    gradient became non-finite."""

@@ -485,6 +485,12 @@ class GrayboxModel:
             idx = rng.choice(n_train, size=batch, replace=False)
             loss, grads = self.loss_and_grad(thetas[idx], targets[idx],
                                              sigmas[idx])
+            # a NaN loss compares False against the abort threshold below
+            if not (np.isfinite(loss) and
+                    all(np.isfinite(g).all() for g in grads.values())):
+                raise TrainingDiverged(
+                    f"non-finite loss ({loss:.3e}) or gradient at "
+                    f"iteration {it}")
             if initial_loss is None:
                 initial_loss = loss
             if loss > hyper.abort_factor * initial_loss:

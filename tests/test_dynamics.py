@@ -1,9 +1,12 @@
+import json
+
 import numpy as np
 import pytest
 
 from conftest import STRONG_G3, make_config, random_density
 from qugray import dynamics, noiseop, pulses
-from qugray.errors import InvalidConfigError, InvertibilityError
+from qugray.errors import DatasetIOError, InvalidConfigError, \
+    InvertibilityError
 
 PAULI_X = np.array([[0, 1], [1, 0]], dtype=complex)
 PAULI_Z = np.array([[1, 0], [0, -1]], dtype=complex)
@@ -273,6 +276,26 @@ class TestDataset:
         for a, b in zip(examples, back):
             np.testing.assert_array_equal(a.theta, b.theta)
             np.testing.assert_array_equal(a.expectations, b.expectations)
+
+    def test_load_rejects_config_hash_mismatch(self, tmp_path):
+        cfg = make_config(d=2, steps=96, realizations=4)
+        examples, manifest = dynamics.generate_dataset(cfg, 4, seed=9)
+        path = tmp_path / "data.jsonl"
+        dynamics.save_dataset(path, examples, manifest)
+        edited = json.loads(open(dynamics.manifest_path(path)).read())
+        edited["config"]["realisations"] = 8
+        with open(dynamics.manifest_path(path), "w") as fh:
+            json.dump(edited, fh)
+        with pytest.raises(DatasetIOError, match="config_hash"):
+            dynamics.load_dataset(path)
+
+    def test_load_rejects_split_mismatch(self, tmp_path):
+        cfg = make_config(d=2, steps=96, realizations=4)
+        examples, manifest = dynamics.generate_dataset(cfg, 4, seed=9)
+        path = tmp_path / "data.jsonl"
+        dynamics.save_dataset(path, examples[:3], manifest)
+        with pytest.raises(DatasetIOError, match="split"):
+            dynamics.load_dataset(path)
 
     def test_manifest_contents(self):
         cfg = make_config(d=2, steps=96, realizations=4)

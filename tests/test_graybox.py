@@ -144,6 +144,19 @@ class TestTraining:
         with pytest.raises(TrainingDiverged):
             m.train(examples, manifest, hyper)
 
+    def test_non_finite_loss_aborts(self, small_cfg):
+        # NaN never exceeds the abort threshold, so it needs its own check
+        examples, manifest = self.make_dataset(small_cfg, n=12)
+        for ex in examples:
+            ex.expectations = np.full_like(ex.expectations, np.nan)
+        m = graybox.GrayboxModel(small_cfg, seed=1)
+        before = {k: v.copy() for k, v in m.weights.items()}
+        hyper = graybox.TrainingHyper(iterations=60, batch_size=8, seed=2)
+        with pytest.raises(TrainingDiverged, match="non-finite"):
+            m.train(examples, manifest, hyper)
+        for name, value in m.weights.items():
+            np.testing.assert_array_equal(value, before[name])
+
 
 class TestCheckpoint:
     def test_roundtrip(self, model, batch, tmp_path):

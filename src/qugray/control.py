@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import dynamics, noisegen, pulses
+from . import dynamics, fileio, noisegen, pulses, streams
 from .algebra import choi_of_unitary, clock_shift_basis, embed_two_level, \
     expm_skew, process_fidelity
 from .errors import InvalidConfigError, OptimizationFailure
@@ -123,7 +123,7 @@ def _fd_gradient(fun, theta, h):
     return grad
 
 
-def _descend(fun, theta0, bound, max_iters, cost_tol, fd_step):
+def _descend(fun, theta0, bound, max_iters, cost_tol):
     """Projected gradient descent with backtracking; returns trace."""
     theta = np.clip(np.array(theta0, dtype=float), -bound, bound)
     cost = fun(theta)
@@ -132,7 +132,7 @@ def _descend(fun, theta0, bound, max_iters, cost_tol, fd_step):
     for _ in range(max_iters):
         if cost < cost_tol:
             break
-        grad = _fd_gradient(fun, theta, fd_step)
+        grad = _fd_gradient(fun, theta, 1e-6 * bound)
         gnorm = np.linalg.norm(grad)
         if gnorm < 1e-12:
             break
@@ -154,34 +154,29 @@ def _descend(fun, theta0, bound, max_iters, cost_tol, fd_step):
 
 
 def _restart_job(args):
-    (model, targets, bound, seed, restart, max_iters, cost_tol,
-     fd_step) = args
+    model, targets, bound, seed, restart, max_iters, cost_tol = args
     L = 2 * (model.d - 1) * model.n_max
     # the zero pulse is a stationary point of the cost for diagonal drifts,
     # so every restart starts from a seeded random interior point
-    ss = np.random.SeedSequence(entropy=seed, spawn_key=(3, restart))
-    rng = np.random.Generator(np.random.Philox(ss))
+    rng = streams.generator(seed, streams.OPTIMIZER_RESTART, restart)
     theta0 = rng.uniform(-0.6 * bound, 0.6 * bound, size=L)
     def fun(th):
         pred = model.expectations(th)
         return float(np.sum((pred - targets) ** 2))
-    theta, cost, trace = _descend(fun, theta0, bound, max_iters, cost_tol,
-                                  fd_step)
+    theta, cost, trace = _descend(fun, theta0, bound, max_iters, cost_tol)
     return restart, cost, theta, trace
 
 
 def optimize_gate(model, gate, restarts=5, seed=0, max_iters=200,
-                  cost_tol=1e-10, workers=1, fd_step=None,
-                  a_max=None):
+                  cost_tol=1e-10, workers=1):
     """Best-of-restarts minimization of the gate cost within the amplitude
     box. Deterministic per seed; ties break toward the lowest restart index.
     """
     if isinstance(gate, str):
         gate = parse_gate(gate, model.d)
-    bound = a_max if a_max is not None else model.config.a_max()
-    fd_step = fd_step if fd_step is not None else 1e-6 * bound
+    bound = model.config.a_max()
     targets = target_expectations(model, gate.unitary)
-    jobs = [(model, targets, bound, seed, r, max_iters, cost_tol, fd_step)
+    jobs = [(model, targets, bound, seed, r, max_iters, cost_tol)
             for r in range(restarts)]
     if workers <= 1:
         outcomes = [_restart_job(j) for j in jobs]
@@ -226,6 +221,6 @@ def evaluate_fidelity(config, theta, gate, real_set=None, k_eval=None):
 
 
 def save_result(result, path):
-    with open(path, "w") as fh:
+    with fileio.atomic_write(path) as fh:
         json.dump(result.to_dict(), fh, indent=2, sort_keys=True)
         fh.write("\n")

@@ -18,13 +18,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import noisegen, pulses
+from . import fileio, noisegen, pulses, streams
 from ._kernels import propagate_piecewise, propagate_piecewise_batch
 from .algebra import gell_mann_basis
 from .errors import DatasetIOError, InvalidConfigError, InvertibilityError, \
     QugrayError
 
-DATASET_ORDERING_VERSION = 1
+DATASET_ORDERING_VERSION = 2
 # default split ratio: 8192 train / 1840 test at the full 10032-example scale
 DEFAULT_TEST_FRACTION = 1840.0 / 10032.0
 
@@ -292,8 +292,7 @@ def _make_example(index):
 
 
 def _sample_example_params(config, a_max, seed, index):
-    ss = np.random.SeedSequence(entropy=seed, spawn_key=(1, index))
-    rng = np.random.Generator(np.random.Philox(ss))
+    rng = streams.generator(seed, streams.EXAMPLE_PULSE, index)
     amps = rng.uniform(-a_max, a_max, size=(config.n_max, config.dim - 1, 2))
     return pulses.PulseParams(dim=config.dim, amplitudes=amps)
 
@@ -341,26 +340,32 @@ def manifest_path(dataset_path):
 
 
 def save_dataset(path, examples, manifest):
-    try:
-        with open(path, "w") as fh:
-            for ex in examples:
-                fh.write(json.dumps({"theta": list(ex.theta),
-                                     "expectations": list(ex.expectations)}))
-                fh.write("\n")
-        with open(manifest_path(path), "w") as fh:
-            json.dump(manifest, fh, indent=2, sort_keys=True)
-            fh.write("\n")
-    except OSError as exc:
-        raise DatasetIOError(f"cannot write dataset: {exc}") from exc
+    """Write the examples (JSON lines) and then their manifest, which also
+    records the SHA-256 of the examples file: a process stopped between the
+    two writes leaves examples that load_dataset refuses."""
+    digest = hashlib.sha256()
+    with fileio.atomic_write(path, "wb") as fh:
+        for ex in examples:
+            line = json.dumps({"theta": list(ex.theta),
+                               "expectations": list(ex.expectations)})
+            line = (line + "\n").encode()
+            digest.update(line)
+            fh.write(line)
+    with fileio.atomic_write(manifest_path(path)) as fh:
+        json.dump(dict(manifest, examples_sha256=digest.hexdigest()), fh,
+                  indent=2, sort_keys=True)
+        fh.write("\n")
 
 
 def load_dataset(path):
+    digest = hashlib.sha256()
     try:
         with open(manifest_path(path)) as fh:
             manifest = json.load(fh)
         examples = []
-        with open(path) as fh:
+        with open(path, "rb") as fh:
             for line in fh:
+                digest.update(line)
                 if not line.strip():
                     continue
                 obj = json.loads(line)
@@ -373,6 +378,9 @@ def load_dataset(path):
         raise DatasetIOError(f"malformed dataset {path}: {exc}") from exc
     if manifest.get("format") != "qugray-dataset":
         raise DatasetIOError(f"{path}: missing or foreign manifest")
+    if manifest.pop("examples_sha256", None) != digest.hexdigest():
+        raise DatasetIOError(f"{path}: the examples do not match the "
+                             "manifest's examples_sha256")
     try:
         config = SystemConfig.from_dict(manifest["config"])
         n_split = int(manifest["n_train"]) + int(manifest["n_test"])

@@ -3,15 +3,18 @@ recurrent blackbox that emits bounded noise-operator parameters.
 
 Blackbox: one encoder GRU consumes the pulse amplitudes as a sequence
 (harmonic index is the time axis, 2(d-1) channels per step, so the input
-width is independent of n_max); its final hidden state feeds d^2 - 1
-per-observable GRU cells (single step from a zero state) topped by dense
-heads whose activations enforce the parameter bounds structurally: sigmoids
-for (r, Theta/2pi, Psi/2pi), tanh for x, softmax for p. Whatever the weights,
-the emitted W = Q D Q^H is a valid bounded noise operator.
+width is independent of n_max). Its final hidden state x feeds d^2 - 1
+observable heads, evaluated together from weights stacked on a leading
+observable axis: a gated cell h = (1 - sigmoid(W_z x + b_z)) tanh(W_h x + b_h)
+(a GRU step from the zero state) under a dense layer whose activations
+enforce the parameter bounds structurally: sigmoids for (r, Theta/2pi,
+Psi/2pi), tanh for x, softmax for p. Whatever the weights, the emitted
+W = Q D Q^H is a valid bounded noise operator.
 
-Whitebox: the noise operators combine with U_0(theta) through the
-expectation identity <O> = tr(V_O U0 rho U0^H O~) - shift, evaluated over the
-informationally complete state/observable grid in the dataset ordering.
+Whitebox: with V_O = O~^-1 W_O, the expectation identity
+<O> = tr(V_O U0 rho U0^H O~) - shift = Re tr(W_O U0 rho U0^H) - shift is
+evaluated over the informationally complete state/observable grid in the
+dataset ordering.
 
 Gradients are exact reverse-mode derivatives, hand-derived; U_0 carries no
 trainable weights and is treated as a constant per example (cached before
@@ -30,28 +33,37 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import dynamics, noiseop
+from . import dynamics, fileio, noiseop, streams
 from .algebra import check_density
-from .errors import DatasetIOError, InvalidConfigError, TrainingDiverged
+from .errors import DatasetIOError, InvalidConfigError, QugrayError, \
+    TrainingDiverged
 
 _MODEL_MAGIC = b"QGMODEL1"
+_MODEL_VERSION = 2
 HIDDEN_UNITS = 60
 _GATES = ("z", "r", "h")
+# Version-1 files stored one block set per observable o, named obs{o}.Wz,
+# head{o}.W, ...: these live ones are stacked on load. The cells' U*, Wr and
+# br blocks only ever multiplied the zero state and are ignored.
+_V1_STACKED = ("obs.Wz", "obs.bz", "obs.Wh", "obs.bh", "head.W", "head.b")
 
 
 def _sigmoid(x):
-    out = np.empty_like(x)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    out[~pos] = ex / (1.0 + ex)
-    return out
+    # branch-free, and no overflow for any x
+    return 0.5 * (1.0 + np.tanh(0.5 * x))
 
 
 def _softmax(x):
     shifted = x - x.max(axis=-1, keepdims=True)
     ex = np.exp(shifted)
     return ex / ex.sum(axis=-1, keepdims=True)
+
+
+def _real_view(a):
+    """(..., d, d) complex -> (..., 2 d^2) float, real and imaginary parts
+    interleaved, so Re sum_jk a_jk conj(b_jk) is one real dot product."""
+    a = np.ascontiguousarray(a, dtype=complex)
+    return a.view(float).reshape(a.shape[:-2] + (-1,))
 
 
 @dataclass
@@ -89,13 +101,20 @@ class TrainingRecord:
 
 @dataclass
 class ForwardResult:
-    params: list          # NoiseOperatorParams per observable
-    noise_operators: list  # V_O per observable
+    head_params: tuple  # (r, theta, psi, x, p), each with a leading n_obs axis
+    noise_operators: np.ndarray  # V_O, (n_obs, d, d)
     expectations: np.ndarray  # flat, dataset ordering
+
+    @property
+    def params(self):
+        """NoiseOperatorParams per observable."""
+        return [noiseop.NoiseOperatorParams(self.noise_operators.shape[-1],
+                                            *fields)
+                for fields in zip(*self.head_params)]
 
 
 class GrayboxModel:
-    """d^2 - 1 observable streams over a shared pulse encoder."""
+    """d^2 - 1 observable heads over a shared pulse encoder."""
 
     def __init__(self, config, hidden=HIDDEN_UNITS, seed=0):
         self.config = config
@@ -123,22 +142,20 @@ class GrayboxModel:
         self.obs_b = np.array([s.b for s in self.shifts])
 
     def _init_weights(self, seed):
-        rng = np.random.Generator(np.random.Philox(
-            np.random.SeedSequence(entropy=seed, spawn_key=(7,))))
+        rng = streams.generator(seed, streams.WEIGHT_INIT)
         def uni(*shape):
             return rng.uniform(-0.08, 0.08, size=shape)
+        H, O = self.hidden, self.n_obs
         w = {}
         for gate in _GATES:
-            w[f"enc.W{gate}"] = uni(self.hidden, self.in_width)
-            w[f"enc.U{gate}"] = uni(self.hidden, self.hidden)
-            w[f"enc.b{gate}"] = uni(self.hidden)
-        for o in range(self.n_obs):
-            for gate in _GATES:
-                w[f"obs{o}.W{gate}"] = uni(self.hidden, self.hidden)
-                w[f"obs{o}.U{gate}"] = uni(self.hidden, self.hidden)
-                w[f"obs{o}.b{gate}"] = uni(self.hidden)
-            w[f"head{o}.W"] = uni(self.head_width, self.hidden)
-            w[f"head{o}.b"] = self._identity_bias(o)
+            w[f"enc.W{gate}"] = uni(H, self.in_width)
+            w[f"enc.U{gate}"] = uni(H, H)
+            w[f"enc.b{gate}"] = uni(H)
+        for gate in ("z", "h"):
+            w[f"obs.W{gate}"] = uni(O, H, H)
+            w[f"obs.b{gate}"] = uni(O, H)
+        w["head.W"] = uni(O, self.head_width, H)
+        w["head.b"] = np.stack([self._identity_bias(o) for o in range(O)])
         self.weights = w
 
     def _identity_bias(self, o):
@@ -172,141 +189,123 @@ class GrayboxModel:
                                               self.d, self.n_max)
         u0 = dynamics.propagate_closed(self.config, params)
         psi = self._kets @ u0.T  # (S, d)
-        return np.einsum("sa,sb->sab", psi, psi.conj()), u0
+        return np.einsum("sa,sb->sab", psi, psi.conj())
 
     # -- blackbox forward --------------------------------------------------
 
     def _sequence(self, thetas):
         """(B, L) -> (n_max, B, 2(d-1)); harmonic index is the sequence axis."""
-        B = thetas.shape[0]
-        amps = thetas.reshape(B, self.d - 1, 2, self.n_max)
+        amps = thetas.reshape(len(thetas), self.d - 1, 2, self.n_max)
         return np.ascontiguousarray(amps.transpose(3, 0, 1, 2).reshape(
-            self.n_max, B, self.in_width))
+            self.n_max, len(thetas), self.in_width))
 
-    def _gru_step(self, prefix, x, h):
+    def _gru_step(self, x, h):
+        """One encoder GRU step."""
         w = self.weights
-        az = x @ w[f"{prefix}.Wz"].T + h @ w[f"{prefix}.Uz"].T + w[f"{prefix}.bz"]
-        ar = x @ w[f"{prefix}.Wr"].T + h @ w[f"{prefix}.Ur"].T + w[f"{prefix}.br"]
-        z = _sigmoid(az)
-        r = _sigmoid(ar)
-        ah = x @ w[f"{prefix}.Wh"].T + (r * h) @ w[f"{prefix}.Uh"].T + w[f"{prefix}.bh"]
-        hbar = np.tanh(ah)
-        h_new = (1.0 - z) * hbar + z * h
-        return h_new, (x, h, z, r, hbar)
+        z = _sigmoid(x @ w["enc.Wz"].T + h @ w["enc.Uz"].T + w["enc.bz"])
+        r = _sigmoid(x @ w["enc.Wr"].T + h @ w["enc.Ur"].T + w["enc.br"])
+        hbar = np.tanh(x @ w["enc.Wh"].T + (r * h) @ w["enc.Uh"].T
+                       + w["enc.bh"])
+        return (1.0 - z) * hbar + z * h, (x, h, z, r, hbar)
 
-    def _gru_step_back(self, prefix, cache, gh, grads):
+    def _gru_step_back(self, cache, gh, grads):
         w = self.weights
         x, h, z, r, hbar = cache
-        ghbar = gh * (1.0 - z)
-        gz = gh * (h - hbar)
-        gah = ghbar * (1.0 - hbar ** 2)
-        gaz = gz * z * (1.0 - z)
-        grh = gah @ w[f"{prefix}.Uh"]
-        gr = grh * h
-        gar = gr * r * (1.0 - r)
-        grads[f"{prefix}.Wh"] += gah.T @ x
-        grads[f"{prefix}.Uh"] += gah.T @ (r * h)
-        grads[f"{prefix}.bh"] += gah.sum(axis=0)
-        grads[f"{prefix}.Wz"] += gaz.T @ x
-        grads[f"{prefix}.Uz"] += gaz.T @ h
-        grads[f"{prefix}.bz"] += gaz.sum(axis=0)
-        grads[f"{prefix}.Wr"] += gar.T @ x
-        grads[f"{prefix}.Ur"] += gar.T @ h
-        grads[f"{prefix}.br"] += gar.sum(axis=0)
-        gx = gaz @ w[f"{prefix}.Wz"] + gar @ w[f"{prefix}.Wr"] + gah @ w[f"{prefix}.Wh"]
-        gh_prev = gh * z + grh * r + gaz @ w[f"{prefix}.Uz"] + gar @ w[f"{prefix}.Ur"]
-        return gx, gh_prev
+        gah = gh * (1.0 - z) * (1.0 - hbar ** 2)
+        gaz = gh * (h - hbar) * z * (1.0 - z)
+        grh = gah @ w["enc.Uh"]
+        gar = grh * h * r * (1.0 - r)
+        grads["enc.Wh"] += gah.T @ x
+        grads["enc.Uh"] += gah.T @ (r * h)
+        grads["enc.bh"] += gah.sum(axis=0)
+        grads["enc.Wz"] += gaz.T @ x
+        grads["enc.Uz"] += gaz.T @ h
+        grads["enc.bz"] += gaz.sum(axis=0)
+        grads["enc.Wr"] += gar.T @ x
+        grads["enc.Ur"] += gar.T @ h
+        grads["enc.br"] += gar.sum(axis=0)
+        return gh * z + grh * r + gaz @ w["enc.Uz"] + gar @ w["enc.Ur"]
 
     def _encode(self, thetas):
         seq = self._sequence(thetas)
-        B = thetas.shape[0]
-        h = np.zeros((B, self.hidden))
+        h = np.zeros((len(thetas), self.hidden))
         caches = []
         for step in range(self.n_max):
-            h, cache = self._gru_step("enc", seq[step], h)
+            h, cache = self._gru_step(seq[step], h)
             caches.append(cache)
         return h, caches
 
-    def _head(self, o, h_enc):
-        """Observable stream o: gated cell + activations -> bounded params."""
-        zero = np.zeros_like(h_enc)
-        h_o, gru_cache = self._gru_step(f"obs{o}", h_enc, zero)
-        w, b = self.weights[f"head{o}.W"], self.weights[f"head{o}.b"]
-        y = h_o @ w.T + b
+    def _heads(self, h_enc):
+        """Every observable head at once: encoder state (B, hidden) -> W and
+        what the backward pass reads, all on leading axes (B, n_obs)."""
+        w = self.weights
+        B, H, O, d = h_enc.shape[0], self.hidden, self.n_obs, self.d
+        az = (h_enc @ w["obs.Wz"].reshape(O * H, H).T).reshape(B, O, H)
+        ah = (h_enc @ w["obs.Wh"].reshape(O * H, H).T).reshape(B, O, H)
+        z = _sigmoid(az + w["obs.bz"])
+        hbar = np.tanh(ah + w["obs.bh"])
+        h_o = (1.0 - z) * hbar
+        y = np.matmul(h_o.transpose(1, 0, 2), w["head.W"].transpose(0, 2, 1))
+        y = y.transpose(1, 0, 2) + w["head.b"]  # (B, O, head_width)
         m3 = 3 * self.n_pairs
-        sig = _sigmoid(y[:, :m3])
-        x = np.tanh(y[:, m3:m3 + self.d])
-        p = _softmax(y[:, m3 + self.d:])
-        r = sig[:, 0::3]
-        theta = 2.0 * np.pi * sig[:, 1::3]
-        psi = 2.0 * np.pi * sig[:, 2::3]
-        cache = (gru_cache, h_o, y, sig, x, p)
-        return (r, theta, psi, x, p), cache
+        sig = _sigmoid(y[..., :m3])
+        x = np.tanh(y[..., m3:m3 + d])
+        p = _softmax(y[..., m3 + d:])
+        r, theta, psi = (sig[..., 0::3], 2.0 * np.pi * sig[..., 1::3],
+                         2.0 * np.pi * sig[..., 2::3])
+        # s = sqrt(1 - r^2) = sqrt(sigmoid(-y) (1 + r)): 1 - r^2 would cancel
+        # near the identity prior, where r = 1 - 1e-4
+        s = np.sqrt(np.exp(-np.logaddexp(0.0, y[..., 0:m3:3])) * (1.0 + r))
+        eth, eps_, factors, prefixes = self._build_q(r, s, theta, psi)
+        Q = prefixes[-1]
+        dd = d * (p * x)  # diagonal of D
+        W = (Q * dd[..., None, :]) @ Q.conj().swapaxes(-1, -2)
+        return {"h_enc": h_enc, "z": z, "hbar": hbar, "h_o": h_o, "sig": sig,
+                "r": r, "theta": theta, "psi": psi, "x": x, "p": p, "s": s,
+                "eth": eth, "eps": eps_, "factors": factors,
+                "prefixes": prefixes, "Q": Q, "dd": dd, "W": W}
 
-    def _build_blocks(self, r, theta, psi):
-        """(B, m) params -> (B, m, 2, 2) subunitaries plus s = sqrt(1-r^2)."""
-        s = np.sqrt(np.clip(1.0 - r * r, 0.0, None))
+    def _build_q(self, r, s, theta, psi):
+        """(..., m) params, s = sqrt(1 - r^2) -> the embedded subunitary
+        factors U_l and their left-prefix products U_0 ... U_l, both
+        (m, ..., d, d), with the phases e^{i Theta}, e^{i Psi}."""
+        d = self.d
         eth = np.exp(1j * theta)
         eps_ = np.exp(1j * psi)
-        blocks = np.empty(r.shape + (2, 2), dtype=complex)
-        blocks[..., 0, 0] = r * eth
-        blocks[..., 0, 1] = s * eps_
-        blocks[..., 1, 0] = -s * eps_.conj()
-        blocks[..., 1, 1] = r * eth.conj()
-        return blocks, s
+        shape = (self.n_pairs,) + r.shape[:-1] + (d, d)
+        factors = np.broadcast_to(np.eye(d, dtype=complex), shape).copy()
+        for l, (p, q) in enumerate(noiseop.pair_order(d)):
+            factors[l, ..., p, p] = r[..., l] * eth[..., l]
+            factors[l, ..., p, q] = s[..., l] * eps_[..., l]
+            factors[l, ..., q, p] = -s[..., l] * eps_[..., l].conj()
+            factors[l, ..., q, q] = r[..., l] * eth[..., l].conj()
+        prefixes = np.empty_like(factors)
+        prefixes[0] = factors[0]
+        for l in range(1, self.n_pairs):
+            np.matmul(prefixes[l - 1], factors[l], out=prefixes[l])
+        return eth, eps_, factors, prefixes
 
-    def _build_q(self, blocks):
-        """Ordered product of embedded blocks; returns per-factor matrices and
-        the left-prefix products needed by the backward pass."""
-        B = blocks.shape[0]
-        d = self.d
-        pairs = noiseop.pair_order(d)
-        factors = np.tile(np.eye(d, dtype=complex), (B, len(pairs), 1, 1))
-        for l, (p, q) in enumerate(pairs):
-            factors[:, l, p, p] = blocks[:, l, 0, 0]
-            factors[:, l, p, q] = blocks[:, l, 0, 1]
-            factors[:, l, q, p] = blocks[:, l, 1, 0]
-            factors[:, l, q, q] = blocks[:, l, 1, 1]
-        prefixes = np.empty_like(factors)  # prefixes[:, l] = U_0 ... U_l
-        acc = factors[:, 0]
-        prefixes[:, 0] = acc
-        for l in range(1, len(pairs)):
-            acc = acc @ factors[:, l]
-            prefixes[:, l] = acc
-        return factors, prefixes
-
-    def forward_batch(self, thetas, sigma_stacks, want_cache=False):
-        """Batched expectations (B, S * n_obs) in the dataset ordering."""
-        thetas = np.asarray(thetas, dtype=float)
-        B = thetas.shape[0]
-        h_enc, enc_caches = self._encode(thetas)
-        S = self._kets.shape[0]
-        out = np.empty((B, S, self.n_obs))
-        caches = {"enc": enc_caches, "h_enc": h_enc, "obs": []}
-        for o in range(self.n_obs):
-            (r, theta, psi, x, p), head_cache = self._head(o, h_enc)
-            blocks, s = self._build_blocks(r, theta, psi)
-            factors, prefixes = self._build_q(blocks)
-            Q = prefixes[:, -1]
-            dd = self.d * (p * x)  # (B, d) diagonal of D
-            W = np.einsum("bij,bj,bkj->bik", Q, dd, Q.conj())
-            V = np.einsum("ij,bjk->bik", self.obs_inv[o], W)
-            raw = np.einsum("bij,bsjk,ki->bs", V, sigma_stacks,
-                            self.obs_shifted[o]).real
-            out[:, :, o] = raw - self.obs_b[o]
-            if want_cache:
-                caches["obs"].append({
-                    "head": head_cache, "r": r, "theta": theta, "psi": psi,
-                    "x": x, "p": p, "s": s, "factors": factors,
-                    "prefixes": prefixes, "Q": Q, "dd": dd,
-                })
-        return out.reshape(B, S * self.n_obs), caches
+    def forward_batch(self, thetas, sigma_stacks):
+        """Batched expectations (B, S * n_obs) in the dataset ordering, and
+        the cache the backward pass reads."""
+        h_enc, enc_caches = self._encode(np.asarray(thetas, dtype=float))
+        heads = self._heads(h_enc)
+        # Re tr(O~^-1 W sigma O~) = Re tr(W sigma) = Re sum_jk W_jk
+        # conj(sigma_jk), as sigma is Hermitian
+        sigma = _real_view(sigma_stacks)  # (B, S, 2 d^2)
+        pred = sigma @ _real_view(heads["W"]).transpose(0, 2, 1) - self.obs_b
+        return pred.reshape(len(h_enc), -1), {"enc": enc_caches,
+                                              "heads": heads, "sigma": sigma}
 
     # -- loss and exact gradients ------------------------------------------
 
     def loss(self, thetas, targets, sigma_stacks):
+        """MSE accumulated and returned in extended precision (np.longdouble),
+        so a central difference of two losses resolves derivatives below a
+        double's rounding of the loss itself."""
         pred, _ = self.forward_batch(thetas, sigma_stacks)
-        return float(np.mean((pred - np.asarray(targets)) ** 2))
+        resid = (pred - np.asarray(targets)).astype(np.longdouble)
+        return np.mean(resid * resid)
 
     def loss_and_grad(self, thetas, targets, sigma_stacks):
         """Exact reverse-mode gradient of the MSE over every weight.
@@ -315,130 +314,112 @@ class GrayboxModel:
         G_X = dL/d(conj X); for a real parameter t entering through X the
         chain rule is dL/dt = 2 Re sum(conj(G_X) * dX/dt).
         """
-        thetas = np.asarray(thetas, dtype=float)
         targets = np.asarray(targets, dtype=float)
-        B = thetas.shape[0]
-        S = self._kets.shape[0]
-        pred, caches = self.forward_batch(thetas, sigma_stacks, want_cache=True)
+        B = len(targets)
+        pred, caches = self.forward_batch(thetas, sigma_stacks)
         resid = pred - targets
         loss = float(np.mean(resid ** 2))
-        g_out = (2.0 / resid.size) * resid.reshape(B, S, self.n_obs)
-        grads = {name: np.zeros_like(arr) for name, arr in self.weights.items()}
-        gh_enc = np.zeros((B, self.hidden))
-        pairs = noiseop.pair_order(self.d)
-        m = len(pairs)
-        for o in range(self.n_obs):
-            cache = caches["obs"][o]
-            gE = g_out[:, :, o]  # (B, S)
-            # E = Re tr(O~^-1 W sigma O~) - b  =>  G_W = 1/2 sum_s gE sigma_s
-            G_W = 0.5 * np.einsum("bs,bsjk->bjk", gE, sigma_stacks)
-            Q, dd = cache["Q"], cache["dd"]
-            # D diagonal: dL/d dd_i = 2 Re (Q^H G_W Q)_ii
-            QhGQ = np.einsum("bji,bjk,bkl->bil", Q.conj(), G_W, Q)
-            g_dd = 2.0 * np.einsum("bii->bi", QhGQ).real
-            gx = g_dd * self.d * cache["p"]
-            gp = g_dd * self.d * cache["x"]
-            # G_Q = (G_W + G_W^H) Q D = 2 G_W Q D for Hermitian G_W
-            G_Q = 2.0 * np.einsum("bij,bjk,bk->bik", G_W, Q, dd)
-            # distribute over the ordered factors
-            factors, prefixes = cache["factors"], cache["prefixes"]
-            suffix = np.tile(np.eye(self.d, dtype=complex), (B, 1, 1))
-            g_r = np.empty((B, m))
-            g_th = np.empty((B, m))
-            g_ps = np.empty((B, m))
-            r, s = cache["r"], cache["s"]
-            theta, psi = cache["theta"], cache["psi"]
-            for l in range(m - 1, -1, -1):
-                left = prefixes[:, l - 1] if l > 0 else None
-                if left is None:
-                    G_U = np.einsum("bij,bkj->bik", G_Q, suffix.conj())
-                else:
-                    G_U = np.einsum("bji,bjk,blk->bil", left.conj(), G_Q,
-                                    suffix.conj())
-                p_, q_ = pairs[l]
-                g00 = G_U[:, p_, p_]
-                g01 = G_U[:, p_, q_]
-                g10 = G_U[:, q_, p_]
-                g11 = G_U[:, q_, q_]
-                eth = np.exp(1j * theta[:, l])
-                eps_ = np.exp(1j * psi[:, l])
-                rl, sl = r[:, l], s[:, l]
-                s_safe = np.maximum(sl, 1e-150)
-                # d block / d r has ds/dr = -r/s on the off-diagonal entries
-                g_r[:, l] = 2.0 * (
-                    (g00.conj() * eth + g11.conj() * eth.conj()).real
-                    + (g01.conj() * eps_ - g10.conj() * eps_.conj()).real
-                    * (-rl / s_safe))
-                g_th[:, l] = 2.0 * (g00.conj() * 1j * rl * eth
-                                    - g11.conj() * 1j * rl * eth.conj()).real
-                g_ps[:, l] = 2.0 * (g01.conj() * 1j * sl * eps_
-                                    + g10.conj() * 1j * sl * eps_.conj()).real
-                suffix = factors[:, l] @ suffix
-            # activations back to the head pre-activations
-            head_cache = cache["head"]
-            gru_cache, h_o, y, sig, x, p = head_cache
-            gy = np.empty_like(y)
-            m3 = 3 * m
-            rs, ths, pss = sig[:, 0::3], sig[:, 1::3], sig[:, 2::3]
-            gy[:, 0:m3:3] = g_r * rs * (1.0 - rs)
-            gy[:, 1:m3:3] = g_th * 2.0 * np.pi * ths * (1.0 - ths)
-            gy[:, 2:m3:3] = g_ps * 2.0 * np.pi * pss * (1.0 - pss)
-            gy[:, m3:m3 + self.d] = gx * (1.0 - x ** 2)
-            gp_dot = (gp * p).sum(axis=1, keepdims=True)
-            gy[:, m3 + self.d:] = p * (gp - gp_dot)
-            grads[f"head{o}.W"] += gy.T @ h_o
-            grads[f"head{o}.b"] += gy.sum(axis=0)
-            gh_o = gy @ self.weights[f"head{o}.W"]
-            gx_in, _ = self._gru_step_back(f"obs{o}", gru_cache, gh_o, grads)
-            gh_enc += gx_in
+        g_out = (2.0 / resid.size) * resid.reshape(B, -1, self.n_obs)
+        # E = Re tr(W sigma) - b  =>  G_W = 1/2 sum_s gE sigma_s
+        G_W = (0.5 * g_out.transpose(0, 2, 1) @ caches["sigma"]).view(
+            complex).reshape(B, self.n_obs, self.d, self.d)
+        grads = {name: np.zeros_like(arr) for name, arr in self.weights.items()
+                 if name.startswith("enc.")}
+        gh = self._heads_back(caches["heads"], G_W, grads)
         # encoder BPTT
-        gh = gh_enc
         for step in range(self.n_max - 1, -1, -1):
-            _, gh = self._gru_step_back("enc", caches["enc"][step], gh, grads)
+            gh = self._gru_step_back(caches["enc"][step], gh, grads)
         return loss, grads
+
+    def _heads_back(self, cache, G_W, grads):
+        """Reverse of _heads: G_W (B, n_obs, d, d) -> the head and cell
+        gradients, stored in grads; returns the encoder-state cotangent."""
+        w = self.weights
+        B, O, H = cache["h_o"].shape
+        d = self.d
+        pairs = noiseop.pair_order(d)
+        Q, dd = cache["Q"], cache["dd"]
+        GQ = G_W @ Q
+        # D diagonal: dL/d dd_i = 2 Re (Q^H G_W Q)_ii
+        g_dd = 2.0 * (Q.conj() * GQ).real.sum(axis=-2)
+        # G_Q = (G_W + G_W^H) Q D = 2 G_W Q D for Hermitian G_W
+        G_Q = 2.0 * GQ * dd[..., None, :]
+        # distribute over the ordered factors
+        factors, prefixes = cache["factors"], cache["prefixes"]
+        r, s = cache["r"], cache["s"]
+        g_sig = np.empty(cache["sig"].shape)  # dL/d(r, Theta, Psi) per pair
+        suffix = np.broadcast_to(np.eye(d, dtype=complex), Q.shape)
+        for l in range(len(pairs) - 1, -1, -1):
+            G_U = G_Q @ suffix.conj().swapaxes(-1, -2)
+            if l > 0:
+                G_U = prefixes[l - 1].conj().swapaxes(-1, -2) @ G_U
+            p_, q_ = pairs[l]
+            g00, g01 = G_U[..., p_, p_], G_U[..., p_, q_]
+            g10, g11 = G_U[..., q_, p_], G_U[..., q_, q_]
+            eth, eps_ = cache["eth"][..., l], cache["eps"][..., l]
+            rl, sl = r[..., l], s[..., l]
+            s_safe = np.maximum(sl, 1e-150)
+            # d block / d r has ds/dr = -r/s on the off-diagonal entries
+            g_sig[..., 3 * l] = 2.0 * (
+                (g00.conj() * eth + g11.conj() * eth.conj()).real
+                + (g01.conj() * eps_ - g10.conj() * eps_.conj()).real
+                * (-rl / s_safe))
+            g_sig[..., 3 * l + 1] = 2.0 * (
+                g00.conj() * 1j * rl * eth
+                - g11.conj() * 1j * rl * eth.conj()).real
+            g_sig[..., 3 * l + 2] = 2.0 * (
+                g01.conj() * 1j * sl * eps_
+                + g10.conj() * 1j * sl * eps_.conj()).real
+            suffix = factors[l] @ suffix
+        # activations back to the dense-layer pre-activations
+        sig, x, p = cache["sig"], cache["x"], cache["p"]
+        m3 = 3 * len(pairs)
+        gy = np.empty((B, O, self.head_width))
+        gy[..., :m3] = g_sig * np.tile([1.0, 2.0 * np.pi, 2.0 * np.pi],
+                                       len(pairs)) * sig * (1.0 - sig)
+        gy[..., m3:m3 + d] = g_dd * d * p * (1.0 - x ** 2)
+        gp = g_dd * d * x
+        gy[..., m3 + d:] = p * (gp - (gp * p).sum(axis=-1, keepdims=True))
+        # dense layer, one product per observable on the stacked weights
+        gy_o = gy.transpose(1, 0, 2)  # (O, B, head_width)
+        grads["head.W"] = gy_o.transpose(0, 2, 1) @ cache["h_o"].transpose(
+            1, 0, 2)
+        grads["head.b"] = gy.sum(axis=0)
+        gh_o = (gy_o @ w["head.W"]).transpose(1, 0, 2)  # (B, O, H)
+        # gated cell h_o = (1 - z) * hbar
+        z, hbar = cache["z"], cache["hbar"]
+        gaz = (-gh_o * hbar * z * (1.0 - z)).reshape(B, O * H)
+        gah = (gh_o * (1.0 - z) * (1.0 - hbar ** 2)).reshape(B, O * H)
+        h_enc = cache["h_enc"]
+        grads["obs.Wz"] = (gaz.T @ h_enc).reshape(O, H, H)
+        grads["obs.bz"] = gaz.sum(axis=0).reshape(O, H)
+        grads["obs.Wh"] = (gah.T @ h_enc).reshape(O, H, H)
+        grads["obs.bh"] = gah.sum(axis=0).reshape(O, H)
+        return (gaz @ w["obs.Wz"].reshape(O * H, H)
+                + gah @ w["obs.Wh"].reshape(O * H, H))
 
     # -- public single-pulse API -------------------------------------------
 
     def forward(self, theta):
         """Full result for one flattened pulse vector."""
         theta = np.asarray(theta, dtype=float)
-        sigma, _ = self.state_stack(theta)
-        pred, caches = self.forward_batch(theta[None, :], sigma[None, ...],
-                                          want_cache=True)
-        params = []
-        v_list = []
-        for o in range(self.n_obs):
-            cache = caches["obs"][o]
-            params.append(noiseop.NoiseOperatorParams(
-                dim=self.d, r=cache["r"][0], theta=cache["theta"][0],
-                psi=cache["psi"][0], x=cache["x"][0], p=cache["p"][0]))
-            W = (cache["Q"][0] * cache["dd"][0]) @ cache["Q"][0].conj().T
-            v_list.append(self.obs_inv[o] @ W)
-        return ForwardResult(params=params, noise_operators=v_list,
-                             expectations=pred[0])
+        sigma = self.state_stack(theta)
+        pred, caches = self.forward_batch(theta[None, :], sigma[None, ...])
+        heads = caches["heads"]
+        return ForwardResult(
+            head_params=tuple(heads[k][0] for k in ("r", "theta", "psi", "x",
+                                                    "p")),
+            noise_operators=self.obs_inv @ heads["W"][0],
+            expectations=pred[0])
 
     def expectations(self, theta):
         """Predicted expectation vector for one pulse (dataset ordering)."""
-        theta = np.asarray(theta, dtype=float)
-        sigma, _ = self.state_stack(theta)
-        pred, _ = self.forward_batch(theta[None, :], sigma[None, ...])
-        return pred[0]
+        return self.forward(theta).expectations
 
     def noise_operators(self, thetas):
         """V_O samples without any propagation: (B, n_obs, d, d)."""
-        thetas = np.asarray(thetas, dtype=float)
-        h_enc, _ = self._encode(thetas)
-        out = np.empty((thetas.shape[0], self.n_obs, self.d, self.d),
-                       dtype=complex)
-        for o in range(self.n_obs):
-            (r, theta, psi, x, p), _ = self._head(o, h_enc)
-            blocks, _ = self._build_blocks(r, theta, psi)
-            _, prefixes = self._build_q(blocks)
-            Q = prefixes[:, -1]
-            dd = self.d * (p * x)
-            W = np.einsum("bij,bj,bkj->bik", Q, dd, Q.conj())
-            out[:, o] = np.einsum("ij,bjk->bik", self.obs_inv[o], W)
-        return out
+        h_enc, _ = self._encode(np.asarray(thetas, dtype=float))
+        return self.obs_inv @ self._heads(h_enc)["W"]
 
     def predict_expectation(self, theta, rho, O):
         """Expectation of an arbitrary observable from an arbitrary state via
@@ -456,7 +437,7 @@ class GrayboxModel:
         sigmas = np.empty((len(thetas), self._kets.shape[0], self.d, self.d),
                           dtype=complex)
         for i, theta in enumerate(thetas):
-            sigmas[i], _ = self.state_stack(theta)
+            sigmas[i] = self.state_stack(theta)
         return sigmas
 
     def train(self, examples, manifest, hyper=None, log_every=None):
@@ -470,8 +451,7 @@ class GrayboxModel:
         sigmas = self.precompute_states(thetas)
         tr = slice(0, n_train)
         te = slice(n_train, n_train + n_test)
-        rng = np.random.Generator(np.random.Philox(
-            np.random.SeedSequence(entropy=hyper.seed, spawn_key=(11,))))
+        rng = streams.generator(hyper.seed, streams.TRAINING_BATCHES)
         mom = {k: np.zeros_like(v) for k, v in self.weights.items()}
         vel = {k: np.zeros_like(v) for k, v in self.weights.items()}
         record = TrainingRecord(seed=hyper.seed,
@@ -512,7 +492,8 @@ class GrayboxModel:
                 vel[name] = hyper.beta2 * vel[name] + (1 - hyper.beta2) * g * g
                 self.weights[name] -= step * (mom[name] / b1c) / (
                     np.sqrt(vel[name] / b2c) + hyper.eps)
-            test_loss = (self.loss(thetas[te], targets[te], sigmas[te])
+            test_loss = (float(self.loss(thetas[te], targets[te],
+                                         sigmas[te]))
                          if n_test > 0 else float("nan"))
             record.train_mse.append(loss)
             record.test_mse.append(test_loss)
@@ -526,7 +507,7 @@ class GrayboxModel:
     def save(self, path, extra_header=None):
         header = {
             "format": "qugray-model",
-            "version": 1,
+            "version": _MODEL_VERSION,
             "dim": self.d,
             "n_max": self.n_max,
             "hidden": self.hidden,
@@ -541,43 +522,75 @@ class GrayboxModel:
         if extra_header:
             header.update(extra_header)
         blob = json.dumps(header, sort_keys=True).encode()
-        try:
-            with open(path, "wb") as fh:
-                fh.write(_MODEL_MAGIC)
-                fh.write(struct.pack("<Q", len(blob)))
-                fh.write(blob)
-                for name in self.weight_names():
-                    fh.write(np.ascontiguousarray(
-                        self.weights[name], dtype="<f8").tobytes())
-        except OSError as exc:
-            raise DatasetIOError(f"cannot write model: {exc}") from exc
+        with fileio.atomic_write(path, "wb") as fh:
+            fh.write(_MODEL_MAGIC)
+            fh.write(struct.pack("<Q", len(blob)))
+            fh.write(blob)
+            for name in self.weight_names():
+                fh.write(np.ascontiguousarray(
+                    self.weights[name], dtype="<f8").tobytes())
+
+    def _file_layout(self, version):
+        """Block name -> shape, as a file of the given version stores them."""
+        layout = {name: arr.shape for name, arr in self.weights.items()}
+        if version == 1:
+            H = self.hidden
+            layout = {n: s for n, s in layout.items() if n.startswith("enc.")}
+            for o in range(self.n_obs):
+                for name in _V1_STACKED:
+                    layout[name.replace(".", f"{o}.")] = \
+                        self.weights[name].shape[1:]
+                for dead in ("Uz", "Ur", "Uh", "Wr"):
+                    layout[f"obs{o}.{dead}"] = (H, H)
+                layout[f"obs{o}.br"] = (H,)
+        return layout
 
     @classmethod
     def load(cls, path):
+        """Read a model file of version 2, or of version 1 (one block set per
+        observable); a file that does not fit the model its header describes
+        raises DatasetIOError."""
         try:
             with open(path, "rb") as fh:
-                magic = fh.read(8)
-                if magic != _MODEL_MAGIC:
-                    raise DatasetIOError(f"{path}: not a model file")
-                (hlen,) = struct.unpack("<Q", fh.read(8))
-                header = json.loads(fh.read(hlen).decode())
-                payload = fh.read()
+                data = fh.read()
         except OSError as exc:
             raise DatasetIOError(f"cannot read model: {exc}") from exc
-        if header.get("format") != "qugray-model" or header.get("version") != 1:
-            raise DatasetIOError(f"{path}: unsupported model format")
-        config = dynamics.SystemConfig.from_dict(header["config"])
-        model = cls(config, hidden=header["hidden"], seed=header["seed"])
-        offset = 0
-        for spec in header["blocks"]:
-            shape = tuple(spec["shape"])
-            count = int(np.prod(shape))
-            arr = np.frombuffer(payload, dtype="<f8", count=count,
-                                offset=offset).reshape(shape)
-            model.weights[spec["name"]] = arr.astype(float)
-            offset += count * 8
-        if offset != len(payload):
-            raise DatasetIOError(f"{path}: weight payload size mismatch")
+        if data[:8] != _MODEL_MAGIC:
+            raise DatasetIOError(f"{path}: not a model file")
+        try:
+            (hlen,) = struct.unpack_from("<Q", data, 8)
+            header = json.loads(data[16:16 + hlen])
+            if header["format"] != "qugray-model" or \
+                    header["version"] not in (1, _MODEL_VERSION):
+                raise ValueError("unsupported model format")
+            model = cls(dynamics.SystemConfig.from_dict(header["config"]),
+                        hidden=int(header["hidden"]), seed=header["seed"])
+            specs = [(str(b["name"]), tuple(b["shape"]))
+                     for b in header["blocks"]]
+        except (struct.error, KeyError, TypeError, ValueError,
+                QugrayError) as exc:
+            raise DatasetIOError(f"{path}: bad model header: {exc}") from exc
+        layout = model._file_layout(header["version"])
+        if len(specs) != len(layout) or dict(specs) != layout:
+            raise DatasetIOError(f"{path}: weight blocks do not fit a "
+                                 f"d={model.d}, hidden={model.hidden} model")
+        sizes = [int(np.prod(shape)) for _, shape in specs]
+        offset = 16 + hlen
+        if len(data) != offset + 8 * sum(sizes):
+            raise DatasetIOError(f"{path}: {len(data) - offset} payload bytes,"
+                                 f" blocks need {8 * sum(sizes)}")
+        blocks = {}
+        for (name, shape), count in zip(specs, sizes):
+            blocks[name] = np.frombuffer(data, "<f8", count, offset).reshape(
+                shape).astype(float)
+            offset += 8 * count
+        if header["version"] == 1:
+            live = {n: blocks[n] for n in layout if n.startswith("enc.")}
+            for name in _V1_STACKED:
+                live[name] = np.stack([blocks[name.replace(".", f"{o}.")]
+                                       for o in range(model.n_obs)])
+            blocks = live
+        model.weights = blocks
         model.dataset_hash = header.get("dataset_hash", "")
         return model
 
@@ -614,8 +627,7 @@ def finite_difference_check(model, thetas, targets, sigmas, n_weights=20,
     """Compare analytic gradients against central differences on a sample of
     weights; returns the worst relative error."""
     _, grads = model.loss_and_grad(thetas, targets, sigmas)
-    rng = np.random.Generator(np.random.Philox(
-        np.random.SeedSequence(entropy=seed, spawn_key=(13,))))
+    rng = streams.generator(seed, streams.GRADIENT_CHECK)
     names = model.weight_names()
     worst = 0.0
     for _ in range(n_weights):
@@ -633,4 +645,4 @@ def finite_difference_check(model, thetas, targets, sigmas, n_weights=20,
         an = grads[name][idx]
         denom = max(abs(fd), abs(an), 1e-10)
         worst = max(worst, abs(fd - an) / denom)
-    return worst
+    return float(worst)

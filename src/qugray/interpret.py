@@ -124,18 +124,17 @@ def noise_sensitivity_N(model_or_expansions, eps, theta=None):
     return _sensitivity(vs)
 
 
-def control_cost_J(model_or_expansions, eps, theta, gate_unitary, config=None,
-                   mode=None):
+def control_cost_J(model_or_expansions, eps, theta, gate_unitary, config=None):
     """J(eps) = N(eps) + closed-gate infidelity term; mode records whether V
     came from raw model samples or fitted expansions."""
     if isinstance(model_or_expansions, list):
         n_term = noise_sensitivity_N(model_or_expansions, eps)
-        mode = mode or "expansion"
+        mode = "expansion"
         if config is None:
             raise InvalidConfigError("config required with expansions")
     else:
         n_term = noise_sensitivity_N(model_or_expansions, eps, theta)
-        mode = mode or "model"
+        mode = "model"
         config = model_or_expansions.config
     infid = gate_overlap_infidelity(config, theta, eps, gate_unitary)
     return {"J": n_term + infid, "N": n_term, "infidelity": infid,
@@ -162,7 +161,6 @@ def landscape(model, thetas, gate, grid=None, pulse_ids=None,
     j_tables = []
     for pid, theta in zip(pulse_ids, thetas):
         vs = scan_epsilon(model, theta, grid=grid)
-        eye = np.eye(model.d)
         n_vals = np.array([_sensitivity(v) for v in vs])
         infids = np.array([gate_overlap_infidelity(model.config, theta, e,
                                                    gate.unitary)

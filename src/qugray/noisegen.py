@@ -17,6 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import streams
 from .errors import DatasetIOError, InvalidConfigError
 
 _DUMP_MAGIC = b"QGNOISE1"
@@ -91,11 +92,6 @@ class NoiseRealizationSet:
         return self.samples.shape[2]
 
 
-def _stream(seed, channel, realization):
-    ss = np.random.SeedSequence(entropy=seed, spawn_key=(channel, realization))
-    return np.random.Generator(np.random.Philox(ss))
-
-
 def synthesize(spec, seed):
     """Draw a NoiseRealizationSet matching spec, deterministic per seed."""
     M = spec.steps
@@ -113,7 +109,7 @@ def synthesize(spec, seed):
                                    total_time=spec.total_time)
     for ch in range(spec.channels):
         for r in range(spec.realizations):
-            rng = _stream(seed, ch, r)
+            rng = streams.noise_generator(seed, ch, r)
             z = rng.standard_normal(2 * half - 1)
             spectrum = np.zeros(half + 1, dtype=complex)
             spectrum[1:half] = amp[:-1] * (z[0:half - 1] + 1j * z[half - 1:2 * half - 2])

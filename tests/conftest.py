@@ -9,16 +9,17 @@ import pytest
 
 from qugray import dynamics, noisegen, pulses
 
-QUTRIT_OMEGA = (0.0, 700.0, 1373.7)
-QUTRIT_DRIVE = (705.25, 677.67)
+# anharmonic ladder levels and drives; d = 2, 3 take the leading entries
+LADDER_OMEGA = (0.0, 700.0, 1373.7, 2020.8)
+LADDER_DRIVE = (705.25, 677.67, 650.5)
 DESK_ALPHA = (3.8e-3, 7.8e-6)
 STRONG_G3 = (0.0, 13.7, 14.9455)
 
 
 def make_config(d=3, steps=240, realizations=16, g=None, seed=5, total_time=1.0,
                 n_max=10, alpha=DESK_ALPHA):
-    omega = QUTRIT_OMEGA[:d]
-    drive = QUTRIT_DRIVE[:d - 1]
+    omega = LADDER_OMEGA[:d]
+    drive = LADDER_DRIVE[:d - 1]
     if g is None:
         g = (0.0,) * d
     carrier = pulses.CarrierSpec(scales=(2.0,) * (d - 1), drive_freqs=drive,

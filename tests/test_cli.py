@@ -123,6 +123,15 @@ class TestOptimize:
         err = capsys.readouterr().err
         assert "sigma_1_0" in err and "WAT" in err
 
+    def test_truncated_model_exits_3(self, tmp_path, tiny_model):
+        trunc = tmp_path / "trunc.qgm"
+        with open(tiny_model, "rb") as fh:
+            trunc.write_bytes(fh.read()[:12])
+        rc = cli.main(["optimize", "--model", str(trunc), "--gate", "X",
+                       "--out", str(tmp_path / "r.json"), "--restarts", "1",
+                       "--iters", "1"])
+        assert rc == 3
+
     def test_dim_mismatched_eval_config_exits_2(self, tmp_path, tiny_model):
         rc = cli.main(["optimize", "--model", tiny_model, "--gate", "X",
                        "--out", str(tmp_path / "r.json"), "--restarts", "1",

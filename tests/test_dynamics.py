@@ -1,4 +1,5 @@
 import json
+import os
 
 import numpy as np
 import pytest
@@ -277,6 +278,21 @@ class TestDataset:
             np.testing.assert_array_equal(a.theta, b.theta)
             np.testing.assert_array_equal(a.expectations, b.expectations)
 
+    def test_failed_save_keeps_previous_file(self, tmp_path):
+        cfg = make_config(d=2, steps=96, realizations=4)
+        examples, manifest = dynamics.generate_dataset(cfg, 4, seed=9)
+        path = tmp_path / "data.jsonl"
+        dynamics.save_dataset(path, examples, manifest)
+        before = path.read_bytes()
+        # serialisation fails after two examples were written
+        broken = examples[:2] + [dynamics.DatasetExample(
+            theta=np.array([object()]), expectations=examples[2].expectations)]
+        with pytest.raises(DatasetIOError):
+            dynamics.save_dataset(path, broken, manifest)
+        assert path.read_bytes() == before
+        assert sorted(p.name for p in tmp_path.iterdir()) == \
+            ["data.jsonl", "data.jsonl.manifest.json"]
+
     def test_load_rejects_config_hash_mismatch(self, tmp_path):
         cfg = make_config(d=2, steps=96, realizations=4)
         examples, manifest = dynamics.generate_dataset(cfg, 4, seed=9)
@@ -296,6 +312,17 @@ class TestDataset:
         dynamics.save_dataset(path, examples[:3], manifest)
         with pytest.raises(DatasetIOError, match="split"):
             dynamics.load_dataset(path)
+
+    def test_load_rejects_manifest_of_other_examples(self, tmp_path):
+        # same config and split, other seed: only the digest tells them apart
+        cfg = make_config(d=2, steps=96, realizations=4)
+        for name, seed in (("a.jsonl", 9), ("b.jsonl", 10)):
+            dynamics.save_dataset(tmp_path / name,
+                                  *dynamics.generate_dataset(cfg, 4, seed=seed))
+        os.replace(dynamics.manifest_path(tmp_path / "b.jsonl"),
+                   dynamics.manifest_path(tmp_path / "a.jsonl"))
+        with pytest.raises(DatasetIOError, match="examples_sha256"):
+            dynamics.load_dataset(tmp_path / "a.jsonl")
 
     def test_manifest_contents(self):
         cfg = make_config(d=2, steps=96, realizations=4)

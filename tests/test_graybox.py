@@ -1,3 +1,6 @@
+import json
+import struct
+
 import numpy as np
 import pytest
 
@@ -17,21 +20,45 @@ def model(small_cfg):
     return graybox.GrayboxModel(small_cfg, seed=3)
 
 
-@pytest.fixture(scope="module")
-def batch(small_cfg, model):
+def random_batch(model, n=5):
     rng = np.random.default_rng(0)
-    a_max = small_cfg.a_max()
-    thetas = rng.uniform(-a_max, a_max, size=(5, 40))
+    a_max = model.config.a_max()
+    L = 2 * (model.d - 1) * model.n_max
+    thetas = rng.uniform(-a_max, a_max, size=(n, L))
     sigmas = model.precompute_states(thetas)
-    targets = rng.uniform(-1, 1, size=(5, 192))
+    targets = rng.uniform(-1, 1, size=(n, model.d * model.n_obs ** 2))
     return thetas, sigmas, targets
+
+
+@pytest.fixture(scope="module")
+def batch(model):
+    return random_batch(model)
+
+
+@pytest.fixture(scope="module", params=[2, 3, 4])
+def model_and_batch(request, model, batch):
+    if request.param == 3:
+        return model, batch
+    m = graybox.GrayboxModel(make_config(d=request.param, steps=160,
+                                         realizations=6), seed=3)
+    return m, random_batch(m)
+
+
+def randomize_weights(model, seed, scale):
+    rng = np.random.Generator(np.random.Philox(seed))
+    for name in model.weights:
+        model.weights[name] = rng.normal(scale=scale,
+                                         size=model.weights[name].shape)
+    return rng
 
 
 class TestArchitecture:
     def test_head_widths(self, model):
         assert model.head_width == 3 * 3 + 2 * 3
-        for o in range(model.n_obs):
-            assert model.weights[f"head{o}.W"].shape == (15, 60)
+        assert model.weights["head.W"].shape == (model.n_obs, 15, 60)
+        # stacked heads: 9 encoder + 4 cell + 2 dense tensors
+        assert len(model.weights) == 15
+        assert sum(w.size for w in model.weights.values()) == 77580
 
     def test_output_length(self, model, batch):
         thetas, sigmas, _ = batch
@@ -42,10 +69,7 @@ class TestArchitecture:
     def test_head_ranges_for_arbitrary_weights(self, small_cfg, wseed):
         # activation bounds are structural: any weights give valid params
         m = graybox.GrayboxModel(small_cfg, seed=wseed)
-        rng = np.random.Generator(np.random.Philox(wseed))
-        for name in m.weights:
-            m.weights[name] = rng.normal(scale=3.0,
-                                         size=m.weights[name].shape)
+        rng = randomize_weights(m, wseed, scale=3.0)
         theta = rng.uniform(-7, 7, size=40)
         res = m.forward(theta)
         for P in res.params:
@@ -57,10 +81,7 @@ class TestArchitecture:
     @pytest.mark.parametrize("wseed", [3, 11])
     def test_emitted_w_always_physical(self, small_cfg, wseed):
         m = graybox.GrayboxModel(small_cfg, seed=wseed)
-        rng = np.random.Generator(np.random.Philox(wseed + 100))
-        for name in m.weights:
-            m.weights[name] = rng.normal(scale=2.0,
-                                         size=m.weights[name].shape)
+        rng = randomize_weights(m, wseed + 100, scale=2.0)
         res = m.forward(rng.uniform(-5, 5, size=40))
         for P in res.params:
             W = noiseop.build_W(P)
@@ -68,6 +89,24 @@ class TestArchitecture:
             assert np.abs(W - W.conj().T).max() < 1e-12
             assert np.abs(evals).max() <= 3.0 + 1e-9
             assert abs(evals.sum()) <= 3.0 + 1e-9
+
+    @pytest.mark.parametrize("d", [2, 3, 4])
+    def test_noise_operators_match_reference_builder(self, d):
+        # the batched heads against noiseop's single-matrix builder, for
+        # every (pulse, observable) pair at generic weights
+        m = graybox.GrayboxModel(make_config(d=d, steps=160, realizations=6),
+                                 seed=5)
+        rng = randomize_weights(m, d, scale=1.0)
+        thetas = rng.uniform(-3, 3, size=(4, 2 * (d - 1) * m.n_max))
+        V = m.noise_operators(thetas)
+        assert V.shape == (4, d * d - 1, d, d)
+        heads = m._heads(m._encode(thetas)[0])
+        for b in range(len(thetas)):
+            for o in range(d * d - 1):
+                P = noiseop.NoiseOperatorParams(d, *(
+                    heads[k][b, o] for k in ("r", "theta", "psi", "x", "p")))
+                ref = np.linalg.inv(m.shifts[o].shifted) @ noiseop.build_W(P)
+                assert np.abs(V[b, o] - ref).max() <= 1e-12
 
     def test_sequence_shaping(self, model):
         theta = np.arange(40, dtype=float)
@@ -90,8 +129,8 @@ class TestLossAndGrad:
         c = 0.37
         assert model.loss(thetas, pred - c, sigmas) == pytest.approx(c * c)
 
-    def test_gradient_matches_finite_differences(self, model, batch):
-        thetas, sigmas, targets = batch
+    def test_gradient_matches_finite_differences(self, model_and_batch):
+        model, (thetas, sigmas, targets) = model_and_batch
         err = graybox.finite_difference_check(model, thetas, targets, sigmas,
                                               n_weights=20, step=1e-5, seed=0)
         assert err < 1e-4
@@ -179,6 +218,99 @@ class TestCheckpoint:
         path.write_bytes(b"NOTMODEL" + b"\x00" * 64)
         with pytest.raises(DatasetIOError):
             graybox.GrayboxModel.load(path)
+
+    @pytest.mark.parametrize("keep", [12, 40, -8],
+                             ids=["length", "header", "payload"])
+    def test_truncated_file_rejected(self, model, tmp_path, keep):
+        path = tmp_path / "model.qgm"
+        model.save(path)
+        path.write_bytes(path.read_bytes()[:keep])
+        with pytest.raises(DatasetIOError):
+            graybox.GrayboxModel.load(path)
+
+    def test_undecodable_header_rejected(self, model, tmp_path):
+        path = tmp_path / "model.qgm"
+        model.save(path)
+        data = bytearray(path.read_bytes())
+        data[16] = 0xFF
+        path.write_bytes(bytes(data))
+        with pytest.raises(DatasetIOError, match="header"):
+            graybox.GrayboxModel.load(path)
+
+    @pytest.mark.parametrize("edit", ["shape", "name"])
+    def test_foreign_block_rejected(self, model, tmp_path, edit):
+        path = tmp_path / "model.qgm"
+        model.save(path)
+        header, payload = split_model_file(path.read_bytes())
+        spec = next(b for b in header["blocks"]
+                    if b["shape"] != b["shape"][::-1])
+        if edit == "shape":
+            spec["shape"] = spec["shape"][::-1]  # same size, wrong layout
+        else:
+            spec["name"] = "extra.W"
+        write_model_file(path, header, payload)
+        with pytest.raises(DatasetIOError):
+            graybox.GrayboxModel.load(path)
+
+    def test_version1_file_loads(self, model, batch, tmp_path):
+        # a version-1 file held one block set per observable, including the
+        # cells' recurrent blocks, which only ever multiplied the zero state:
+        # random values there must not move any prediction
+        rng = np.random.default_rng(4)
+        H = model.hidden
+        blocks = {n: w for n, w in model.weights.items()
+                  if n.startswith("enc.")}
+        for o in range(model.n_obs):
+            for gate in "zh":
+                blocks[f"obs{o}.W{gate}"] = model.weights[f"obs.W{gate}"][o]
+                blocks[f"obs{o}.b{gate}"] = model.weights[f"obs.b{gate}"][o]
+            for gate in "zrh":
+                blocks[f"obs{o}.U{gate}"] = rng.normal(size=(H, H))
+            blocks[f"obs{o}.Wr"] = rng.normal(size=(H, H))
+            blocks[f"obs{o}.br"] = rng.normal(size=H)
+            blocks[f"head{o}.W"] = model.weights["head.W"][o]
+            blocks[f"head{o}.b"] = model.weights["head.b"][o]
+        names = sorted(blocks)
+        header = {"format": "qugray-model", "version": 1, "dim": model.d,
+                  "n_max": model.n_max, "hidden": H, "n_obs": model.n_obs,
+                  "seed": model.seed, "dataset_hash": "v1hash",
+                  "config": model.config.to_dict(),
+                  "blocks": [{"name": n, "shape": list(blocks[n].shape)}
+                             for n in names]}
+        payload = b"".join(np.ascontiguousarray(blocks[n], dtype="<f8")
+                           .tobytes() for n in names)
+        path = tmp_path / "v1.qgm"
+        write_model_file(path, header, payload)
+        back = graybox.GrayboxModel.load(path)
+        assert sorted(back.weights) == model.weight_names()
+        assert back.dataset_hash == "v1hash"
+        thetas, sigmas, _ = batch
+        pred_v2, _ = model.forward_batch(thetas, sigmas)
+        pred_v1, _ = back.forward_batch(thetas, sigmas)
+        assert np.abs(pred_v1 - pred_v2).max() <= 1e-12
+
+    def test_failed_save_keeps_previous_file(self, small_cfg, tmp_path):
+        path = tmp_path / "model.qgm"
+        m = graybox.GrayboxModel(small_cfg, seed=3)
+        m.save(path)
+        before = path.read_bytes()
+        # serialisation fails after the header and the first blocks
+        m.weights["obs.bz"] = np.array(["not a number"])
+        with pytest.raises(DatasetIOError):
+            m.save(path)
+        assert path.read_bytes() == before
+        assert [p.name for p in tmp_path.iterdir()] == ["model.qgm"]
+
+
+def split_model_file(data):
+    (hlen,) = struct.unpack_from("<Q", data, 8)
+    return json.loads(data[16:16 + hlen]), data[16 + hlen:]
+
+
+def write_model_file(path, header, payload):
+    blob = json.dumps(header, sort_keys=True).encode()
+    path.write_bytes(b"QGMODEL1" + struct.pack("<Q", len(blob)) + blob
+                     + payload)
 
 
 class TestPredictExpectation:

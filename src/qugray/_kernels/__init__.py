@@ -1,6 +1,7 @@
 """Propagation kernel: one numpy implementation (see `_prop_py`)."""
 
-from ._prop_py import propagate_piecewise, propagate_piecewise_batch
+from ._prop_py import propagate_piecewise, propagate_piecewise_batch, \
+    pullback_closed
 
 
 def backend():

@@ -214,6 +214,58 @@ def propagate_piecewise(drift_diag, coupling, wave, noise_diag, dt):
     return _propagate(drift_diag, _real_coupling(coupling), wave, noise, dt)[0]
 
 
+def _prefix_products(steps):
+    """P_k = S_k ... S_0 for a (M, d, d) stack, by log2(M) stacked doubling
+    passes (an inclusive Hillis-Steele scan)."""
+    prefix = steps.copy()
+    shift = 1
+    while shift < len(prefix):
+        prefix[shift:] = prefix[shift:] @ prefix[:-shift]
+        shift *= 2
+    return prefix
+
+
+def pullback_closed(drift_diag, coupling, wave, dt, g_u):
+    """dL/dwave, shape (M,), for a real function L of the closed propagator
+    U = propagate_piecewise(drift_diag, coupling, wave, None, dt), given the
+    conjugate cotangent G = dL/d conj(U), (d, d).
+
+    With steps S_k = exp(-i dt H_k) (the kernel's own step unitaries times
+    their trace phases), prefixes P_k = S_k ... S_0 and U = P_{M-1},
+    dU/df_k = A_k F_k B_k with A_k = U P_k^H, B_k = P_{k-1} and
+    F_k = dS_k/df_k, so dL/df_k = 2 Re tr(B_k G^H A_k F_k). In the eigenbasis
+    H_k = Q diag(lambda) Q^T, F_k = -i dt Q (Gamma o Q^T C Q) Q^T with the
+    divided differences of exp in branch-free form,
+    Gamma_ab = exp(-i dt (lambda_a + lambda_b) / 2)
+               sinc(dt (lambda_a - lambda_b) / 2 pi),
+    exact at degenerate eigenvalues.
+    """
+    drift_diag = np.asarray(drift_diag, dtype=float)
+    coupling = _real_coupling(coupling)
+    wave = np.asarray(wave, dtype=float)
+    M, d = wave.shape[0], drift_diag.shape[0]
+    u, _ = _step_unitaries(drift_diag, coupling, wave, np.zeros((1, M, d)),
+                           dt)
+    h = np.diag(drift_diag) + wave[:, None, None] * coupling  # (M, d, d)
+    mu = np.trace(h, axis1=1, axis2=2) / d
+    prefix = _prefix_products(_stacked(u)[0]
+                              * np.exp(-1j * dt * mu)[:, None, None])
+    before = np.empty_like(prefix)
+    before[0] = np.eye(d)
+    before[1:] = prefix[:-1]
+    # B_k G^H A_k = P_{k-1} (G^H U) P_k^H
+    m = before @ (np.asarray(g_u).conj().T @ prefix[-1]) \
+        @ prefix.conj().swapaxes(-1, -2)
+    lam, q = np.linalg.eigh(h)
+    gamma = np.exp(-0.5j * dt * (lam[:, :, None] + lam[:, None, :])) \
+        * np.sinc(dt * (lam[:, :, None] - lam[:, None, :]) / (2.0 * np.pi))
+    qt = q.swapaxes(-1, -2)
+    # tr(M F) = -i dt sum_ab (Q^T M Q)_ab Gamma_ab (Q^T C Q)_ab, both
+    # Gamma and Q^T C Q being symmetric
+    weighted = gamma * (qt @ coupling @ q)
+    return 2.0 * dt * np.einsum("kab,kab->k", qt @ m @ q, weighted).imag
+
+
 def propagate_piecewise_batch(drift_diag, coupling, wave, noise_diags, dt,
                               chunk=32):
     """Propagators for a (K, M, d) stack of noise trajectories -> (K, d, d).

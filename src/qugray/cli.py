@@ -15,7 +15,7 @@ import time
 import numpy as np
 
 from . import config as config_mod
-from . import control, dynamics, graybox, interpret, noisegen
+from . import control, dynamics, fileio, graybox, interpret, noisegen
 from .errors import (ContractViolationError, DatasetIOError, DomainError,
                      InvalidConfigError, InvalidDimensionError,
                      InvertibilityError, OptimizationFailure, QugrayError,
@@ -78,7 +78,7 @@ def cmd_train(args):
                          log_every=args.log_every or None)
     model.save(args.out, extra_header={"iterations": record.iterations})
     curves = args.curves or f"{args.out}.curves.csv"
-    with open(curves, "w") as fh:
+    with fileio.atomic_write(curves) as fh:
         fh.write("iteration,train_mse,test_mse\n")
         for i, (tr, te) in enumerate(zip(record.train_mse, record.test_mse),
                                      start=1):
@@ -131,15 +131,29 @@ def _load_pulses(spec, expected_len):
     return ids, thetas, manifest
 
 
+def _load_optimized(path, expected_len):
+    """theta_star of an optimize result JSON, checked against the model."""
+    try:
+        with open(path) as fh:
+            theta = np.array(json.load(fh)["theta_star"], dtype=float)
+    except (KeyError, TypeError, ValueError) as exc:
+        raise DatasetIOError(f"{path}: not an optimize result: {exc!r}") \
+            from exc
+    if theta.shape != (expected_len,):
+        raise InvalidConfigError(f"{path}: theta_star has shape {theta.shape}"
+                                 f", the model needs ({expected_len},)")
+    if not np.isfinite(theta).all():
+        raise DatasetIOError(f"{path}: theta_star is not finite")
+    return theta
+
+
 def cmd_landscape(args):
     model = graybox.GrayboxModel.load(args.model)
     gate = control.parse_gate(args.gate, model.d)
     expected = 2 * (model.d - 1) * model.n_max
     ids, thetas, _ = _load_pulses(args.pulses, expected)
     if args.optimized:
-        with open(args.optimized) as fh:
-            opt = json.load(fh)
-        thetas.append(np.array(opt["theta_star"], dtype=float))
+        thetas.append(_load_optimized(args.optimized, expected))
         ids.append(-1)  # optimized pulse sentinel id
     grid = _parse_grid(args.grid)
     rows = interpret.landscape(model, thetas, gate, grid=grid, pulse_ids=ids,
@@ -166,7 +180,7 @@ def cmd_expand(args):
         "config_hash": manifest.get("config_hash", ""),
         "expansions": [e.to_dict() for e in expansions],
     }
-    with open(args.out, "w") as fh:
+    with fileio.atomic_write(args.out) as fh:
         json.dump(payload, fh, indent=2, sort_keys=True)
         fh.write("\n")
     worst = max(float(e.residuals.max()) for e in expansions)
@@ -182,7 +196,7 @@ def cmd_psd_check(args):
     freqs, power = noisegen.empirical_psd(real_set)
     target = spec.psd(freqs)
     mean_power = power.mean(axis=0)
-    with open(args.out, "w") as fh:
+    with fileio.atomic_write(args.out) as fh:
         fh.write("frequency_hz,target_psd,empirical_psd\n")
         for f, t, p in zip(freqs, target, mean_power):
             fh.write(f"{float(f)!r},{float(t)!r},{float(p)!r}\n")

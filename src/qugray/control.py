@@ -2,11 +2,13 @@
 
 The cost is the squared mismatch, summed over the informationally complete
 state/observable grid, between the ideal expectations of the target gate and
-the model's predictions. Optimization is multi-start projected gradient
-descent with central finite-difference gradients and a backtracking line
-search; each restart is deterministic in (seed, restart index) and the best
-restart wins with lowest-index tie-breaking, so results do not depend on how
-many workers run them.
+the model's predictions. Its gradient is exact: the model's reverse mode
+(`cost_and_grad`) runs through the blackbox and, by adjoint propagation,
+through U_0 (GRAPE; Khaneja et al., J. Magn. Reson. 172, 296 (2005)).
+Optimization is multi-start scipy L-BFGS-B inside the amplitude box, in
+coordinates u = theta / a_max; each restart is deterministic in (seed, restart
+index) and the best restart wins with lowest-index tie-breaking, so results
+do not depend on how many workers run them.
 """
 
 import dataclasses
@@ -110,73 +112,53 @@ class OptimizationResult:
         }
 
 
-def _fd_gradient(fun, theta, h):
-    grad = np.empty_like(theta)
-    for i in range(theta.size):
-        orig = theta[i]
-        theta[i] = orig + h
-        up = fun(theta)
-        theta[i] = orig - h
-        down = fun(theta)
-        theta[i] = orig
-        grad[i] = (up - down) / (2.0 * h)
-    return grad
-
-
-def _descend(fun, theta0, bound, max_iters, cost_tol):
-    """Projected gradient descent with backtracking; returns trace."""
-    theta = np.clip(np.array(theta0, dtype=float), -bound, bound)
-    cost = fun(theta)
-    trace = [cost]
-    step = 1e-3 * bound
-    for _ in range(max_iters):
-        if cost < cost_tol:
-            break
-        grad = _fd_gradient(fun, theta, 1e-6 * bound)
-        gnorm = np.linalg.norm(grad)
-        if gnorm < 1e-12:
-            break
-        improved = False
-        alpha = step
-        for _ in range(30):
-            cand = np.clip(theta - alpha * grad, -bound, bound)
-            cand_cost = fun(cand)
-            if cand_cost < cost - 1e-4 * alpha * gnorm ** 2:
-                theta, cost = cand, cand_cost
-                step = alpha * 1.8
-                improved = True
-                break
-            alpha *= 0.5
-        trace.append(cost)
-        if not improved:
-            break
-    return theta, cost, trace
-
-
 def _restart_job(args):
-    model, targets, bound, seed, restart, max_iters, cost_tol = args
+    # imported here: scipy.optimize takes ~0.1-0.5 s to import, which every
+    # command that does not optimize would otherwise pay at start-up
+    from scipy.optimize import minimize
+    model, targets, bound, seed, restart, max_iters = args
     L = 2 * (model.d - 1) * model.n_max
     # the zero pulse is a stationary point of the cost for diagonal drifts,
     # so every restart starts from a seeded random interior point
     rng = streams.generator(seed, streams.OPTIMIZER_RESTART, restart)
-    theta0 = rng.uniform(-0.6 * bound, 0.6 * bound, size=L)
-    def fun(th):
-        pred = model.expectations(th)
-        return float(np.sum((pred - targets) ** 2))
-    theta, cost, trace = _descend(fun, theta0, bound, max_iters, cost_tol)
-    return restart, cost, theta, trace
+    u = rng.uniform(-0.6, 0.6, size=L)
+    # L-BFGS-B runs in u = theta / bound: theta-space gradients scale as
+    # 1 / bound (~1e-7 at full scale) and would pass its projected-gradient
+    # test at once
+    costs = []  # every evaluation, the first at the start point
+    def fun(x):
+        cost, grad = model.cost_and_grad(bound * x, targets)
+        costs.append(cost)
+        if not (np.isfinite(cost) and np.isfinite(grad).all()):
+            # +inf is never accepted: the restart stops at its last finite
+            # iterate, or with a non-finite cost if the start is non-finite
+            return np.inf, np.zeros_like(x)
+        return cost, bound * grad
+    # the last evaluation before each iteration's callback is at the
+    # accepted iterate, so the trace costs nothing extra
+    accepted = []
+    if max_iters > 0:
+        u = minimize(fun, u, jac=True, method="L-BFGS-B",
+                     bounds=[(-1.0, 1.0)] * L,
+                     callback=lambda _: accepted.append(costs[-1]),
+                     options={"maxiter": max_iters}).x
+    else:
+        fun(u)
+    trace = costs[:1] + accepted
+    return restart, trace[-1], bound * u, trace
 
 
-def optimize_gate(model, gate, restarts=5, seed=0, max_iters=200,
-                  cost_tol=1e-10, workers=1):
+def optimize_gate(model, gate, restarts=5, seed=0, max_iters=200, workers=1):
     """Best-of-restarts minimization of the gate cost within the amplitude
     box. Deterministic per seed; ties break toward the lowest restart index.
     """
+    if restarts < 1:
+        raise InvalidConfigError(f"need at least one restart, got {restarts}")
     if isinstance(gate, str):
         gate = parse_gate(gate, model.d)
     bound = model.config.a_max()
     targets = target_expectations(model, gate.unitary)
-    jobs = [(model, targets, bound, seed, r, max_iters, cost_tol)
+    jobs = [(model, targets, bound, seed, r, max_iters)
             for r in range(restarts)]
     if workers <= 1:
         outcomes = [_restart_job(j) for j in jobs]

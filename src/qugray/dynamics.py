@@ -19,7 +19,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import fileio, noisegen, pulses, streams
-from ._kernels import propagate_piecewise, propagate_piecewise_batch
+from ._kernels import propagate_piecewise, propagate_piecewise_batch, \
+    pullback_closed
 from .algebra import gell_mann_basis
 from .errors import DatasetIOError, InvalidConfigError, InvertibilityError, \
     QugrayError
@@ -159,6 +160,15 @@ def propagate_closed(config, params):
     wave = pulses.waveform(params, config.carrier)
     return propagate_piecewise(np.array(config.omega), config.coupling, wave,
                                None, config.carrier.dt)
+
+
+def pullback_propagate_closed(config, params, g_u):
+    """dL/dtheta (flattened pulse layout) for a real function L of
+    U_0 = propagate_closed(config, params), given G = dL/d conj(U_0)."""
+    wave = pulses.waveform(params, config.carrier)
+    g_wave = pullback_closed(np.array(config.omega), config.coupling, wave,
+                             config.carrier.dt, g_u)
+    return pulses.waveform_transpose(g_wave, config.carrier, params.n_max)
 
 
 def _noise_diag(config, real_set, r):

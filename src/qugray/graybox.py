@@ -18,7 +18,9 @@ dataset ordering.
 
 Gradients are exact reverse-mode derivatives, hand-derived; U_0 carries no
 trainable weights and is treated as a constant per example (cached before
-training). Training is plain adaptive-moment SGD.
+training). Training is plain adaptive-moment SGD. The same reverse mode gives
+the gate cost's pulse gradient (`cost_and_grad`): through the encoder input,
+and through U_0 by the propagation kernel's adjoint pullback.
 
 Singular observables use the "interior" shift b = ||O||/2: the exact shifted
 noise operator then keeps sum_i |eig| <= d and |trace| <= d, so it stays
@@ -33,7 +35,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import dynamics, fileio, noiseop, streams
+from . import dynamics, fileio, noiseop, pulses, streams
 from .algebra import check_density
 from .errors import DatasetIOError, InvalidConfigError, QugrayError, \
     TrainingDiverged
@@ -57,6 +59,23 @@ def _softmax(x):
     shifted = x - x.max(axis=-1, keepdims=True)
     ex = np.exp(shifted)
     return ex / ex.sum(axis=-1, keepdims=True)
+
+
+def _closed_propagator(config, theta):
+    """(PulseParams, U_0) for one flattened pulse vector."""
+    params = pulses.PulseParams.unflatten(np.asarray(theta, dtype=float),
+                                          config.dim, config.n_max)
+    return params, dynamics.propagate_closed(config, params)
+
+
+def _state_pullback(config, params, kets, u0, g, W):
+    """dL/dtheta through U_0 alone, for predictions Re tr(W_o sigma_s) with
+    sigma_s = U_0 |q_s><q_s| U_0^H and g[s, o] = dL/d prediction. With W_h
+    the Hermitian part of W, G_U = sum_so g_so W_h,o U_0 q_s q_s^H."""
+    W_h = 0.5 * (W + W.conj().swapaxes(-1, -2))
+    psi = kets @ u0.T
+    G_U = np.einsum("so,oab,sb,sc->ac", g, W_h, psi, kets.conj())
+    return dynamics.pullback_propagate_closed(config, params, G_U)
 
 
 def _real_view(a):
@@ -184,10 +203,7 @@ class GrayboxModel:
 
     def state_stack(self, theta):
         """sigma_s = U0 |q_s><q_s| U0^H for one flattened pulse vector."""
-        from . import pulses
-        params = pulses.PulseParams.unflatten(np.asarray(theta, float),
-                                              self.d, self.n_max)
-        u0 = dynamics.propagate_closed(self.config, params)
+        _, u0 = _closed_propagator(self.config, theta)
         psi = self._kets @ u0.T  # (S, d)
         return np.einsum("sa,sb->sab", psi, psi.conj())
 
@@ -209,6 +225,8 @@ class GrayboxModel:
         return (1.0 - z) * hbar + z * h, (x, h, z, r, hbar)
 
     def _gru_step_back(self, cache, gh, grads):
+        """Reverse of _gru_step: weight gradients into grads; returns the
+        cotangents of the previous state and of the input."""
         w = self.weights
         x, h, z, r, hbar = cache
         gah = gh * (1.0 - z) * (1.0 - hbar ** 2)
@@ -224,7 +242,8 @@ class GrayboxModel:
         grads["enc.Wr"] += gar.T @ x
         grads["enc.Ur"] += gar.T @ h
         grads["enc.br"] += gar.sum(axis=0)
-        return gh * z + grh * r + gaz @ w["enc.Uz"] + gar @ w["enc.Ur"]
+        return (gh * z + grh * r + gaz @ w["enc.Uz"] + gar @ w["enc.Ur"],
+                gah @ w["enc.Wh"] + gaz @ w["enc.Wz"] + gar @ w["enc.Wr"])
 
     def _encode(self, thetas):
         seq = self._sequence(thetas)
@@ -234,6 +253,17 @@ class GrayboxModel:
             h, cache = self._gru_step(seq[step], h)
             caches.append(cache)
         return h, caches
+
+    def _encode_back(self, caches, gh, grads):
+        """Reverse of _encode (BPTT): encoder gradients into grads; returns
+        the pulse cotangent (B, L) in the flattened layout."""
+        B = len(gh)
+        g_seq = np.empty((self.n_max, B, self.in_width))
+        for step in range(self.n_max - 1, -1, -1):
+            gh, g_seq[step] = self._gru_step_back(caches[step], gh, grads)
+        # inverse of _sequence's (B, L) -> (n_max, B, 2(d-1)) reshaping
+        return g_seq.reshape(self.n_max, B, self.d - 1, 2).transpose(
+            1, 2, 3, 0).reshape(B, -1)
 
     def _heads(self, h_enc):
         """Every observable head at once: encoder state (B, hidden) -> W and
@@ -326,10 +356,28 @@ class GrayboxModel:
         grads = {name: np.zeros_like(arr) for name, arr in self.weights.items()
                  if name.startswith("enc.")}
         gh = self._heads_back(caches["heads"], G_W, grads)
-        # encoder BPTT
-        for step in range(self.n_max - 1, -1, -1):
-            gh = self._gru_step_back(caches["enc"][step], gh, grads)
+        self._encode_back(caches["enc"], gh, grads)
         return loss, grads
+
+    def cost_and_grad(self, theta, targets):
+        """Gate cost sum (E(theta) - targets)^2 for one pulse and its exact
+        gradient in theta: through the blackbox (W) and through U_0 (sigma)."""
+        theta = np.asarray(theta, dtype=float)
+        params, u0 = _closed_propagator(self.config, theta)
+        psi = self._kets @ u0.T
+        sigma = np.einsum("sa,sb->sab", psi, psi.conj())
+        pred, caches = self.forward_batch(theta[None], sigma[None])
+        resid = pred[0] - targets
+        g = 2.0 * resid.reshape(-1, self.n_obs)
+        G_W = (0.5 * g.T @ caches["sigma"][0]).view(complex).reshape(
+            1, self.n_obs, self.d, self.d)
+        grads = {name: np.zeros_like(arr) for name, arr in self.weights.items()
+                 if name.startswith("enc.")}
+        gh = self._heads_back(caches["heads"], G_W, grads)
+        grad = self._encode_back(caches["enc"], gh, grads)[0]
+        grad += _state_pullback(self.config, params, self._kets, u0, g,
+                                caches["heads"]["W"][0])
+        return float(np.sum(resid ** 2)), grad
 
     def _heads_back(self, cache, G_W, grads):
         """Reverse of _heads: G_W (B, n_obs, d, d) -> the head and cell
@@ -610,11 +658,18 @@ class ExactClosedModel:
         self._kets = dynamics.initial_states(self.basis)
 
     def expectations(self, theta):
-        from . import pulses
-        params = pulses.PulseParams.unflatten(np.asarray(theta, float),
-                                              self.d, self.n_max)
-        u0 = dynamics.propagate_closed(self.config, params)
+        _, u0 = _closed_propagator(self.config, theta)
         return dynamics.expectations_from_propagators(u0[None], self.basis)
+
+    def cost_and_grad(self, theta, targets):
+        """Gate cost and its exact gradient; here W = O, so only U_0 moves."""
+        params, u0 = _closed_propagator(self.config, theta)
+        resid = dynamics.expectations_from_propagators(u0[None],
+                                                       self.basis) - targets
+        grad = _state_pullback(self.config, params, self._kets, u0,
+                               2.0 * resid.reshape(-1, self.n_obs),
+                               np.stack(self.basis.elements))
+        return float(np.sum(resid ** 2)), grad
 
     def noise_operators(self, thetas):
         B = np.asarray(thetas).shape[0]

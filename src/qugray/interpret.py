@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import dynamics, pulses
+from . import dynamics, fileio, pulses
 from .errors import DomainError, InvalidConfigError
 
 DEFAULT_GRID = np.linspace(-1.0, 1.0, 41)
@@ -184,7 +184,7 @@ def landscape(model, thetas, gate, grid=None, pulse_ids=None,
 
 
 def rows_to_csv(rows, path):
-    with open(path, "w") as fh:
+    with fileio.atomic_write(path) as fh:
         fh.write("pulse_id,epsilon,J,N,fidelity\n")
         for row in rows:
             fh.write(f"{row['pulse_id']},{row['epsilon']!r},{row['J']!r},"

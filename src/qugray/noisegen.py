@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import streams
+from . import fileio, streams
 from .errors import DatasetIOError, InvalidConfigError
 
 _DUMP_MAGIC = b"QGNOISE1"
@@ -126,25 +126,27 @@ def empirical_psd(real_set, total_time=None):
     M = real_set.steps
     half = M // 2
     freqs = np.arange(1, half + 1) / T
-    spec = np.fft.rfft(real_set.samples, axis=-1)[..., 1:half + 1]
-    power = np.abs(spec) ** 2
-    power[..., :-1] *= 2.0 * T / (M * M)
-    power[..., -1] *= 1.0 * T / (M * M)
-    return freqs, power.mean(axis=1)
+    # one channel at a time: the spectra of the whole ensemble would double
+    # its footprint (954 MB of samples at full scale)
+    power = np.empty((real_set.channels, half))
+    for ch, samples in enumerate(real_set.samples):
+        spec = np.fft.rfft(samples, axis=-1)[:, 1:half + 1]
+        periodogram = np.abs(spec) ** 2
+        periodogram[:, :-1] *= 2.0 * T / (M * M)
+        periodogram[:, -1] *= 1.0 * T / (M * M)
+        power[ch] = periodogram.mean(axis=0)
+    return freqs, power
 
 
 def dump_realizations(real_set, path):
     """Binary dump: magic, version, channels, K, M (uint32 LE), T (float64 LE),
     then float64 LE samples in channel-major order."""
-    try:
-        with open(path, "wb") as fh:
-            fh.write(_DUMP_MAGIC)
-            fh.write(struct.pack("<III", real_set.channels,
-                                 real_set.realizations, real_set.steps))
-            fh.write(struct.pack("<d", real_set.total_time))
-            fh.write(np.ascontiguousarray(real_set.samples, dtype="<f8").tobytes())
-    except OSError as exc:
-        raise DatasetIOError(f"cannot write noise dump: {exc}") from exc
+    with fileio.atomic_write(path, "wb") as fh:
+        fh.write(_DUMP_MAGIC)
+        fh.write(struct.pack("<III", real_set.channels,
+                             real_set.realizations, real_set.steps))
+        fh.write(struct.pack("<d", real_set.total_time))
+        fh.write(np.ascontiguousarray(real_set.samples, dtype="<f8").tobytes())
 
 
 def load_realizations(path, seed=-1):

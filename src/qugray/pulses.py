@@ -121,12 +121,17 @@ def envelope(params, i, channel, t, total_time):
     return float(out[0]) if np.isscalar(t) or np.ndim(t) == 0 else out
 
 
+def _window(carrier, n_max):
+    """Hanning harmonics 1 - cos(2 pi n t_k / T), shape (M, n_max)."""
+    n = np.arange(1, n_max + 1)
+    return 1.0 - np.cos(2.0 * np.pi * np.outer(carrier.times(), n)
+                        / carrier.total_time)
+
+
 def envelope_grid(params, carrier):
     """All envelopes on the carrier time grid, shape (M, d - 1, 2)."""
-    t = carrier.times()
-    n = np.arange(1, params.n_max + 1)
-    window = 1.0 - np.cos(2.0 * np.pi * np.outer(t, n) / carrier.total_time)
-    return np.einsum("kn,nic->kic", window / 2.0, params.amplitudes)
+    return np.einsum("kn,nic->kic", _window(carrier, params.n_max) / 2.0,
+                     params.amplitudes)
 
 
 def waveform(params, carrier):
@@ -140,6 +145,16 @@ def waveform(params, carrier):
     phases = np.outer(t, np.array(carrier.drive_freqs))
     mixed = env[:, :, 0] * np.cos(phases) + env[:, :, 1] * np.sin(phases)
     return mixed @ np.array(carrier.scales)
+
+
+def waveform_transpose(g_wave, carrier, n_max):
+    """Adjoint of the linear map theta -> waveform: dL/dtheta in the flattened
+    layout from dL/df on the grid, shape (M,)."""
+    phases = np.outer(carrier.times(), np.array(carrier.drive_freqs))
+    mixed = np.stack([np.cos(phases), np.sin(phases)], axis=-1) \
+        * (np.asarray(g_wave)[:, None] * np.array(carrier.scales))[..., None]
+    amps = np.einsum("kn,kic->nic", _window(carrier, n_max) / 2.0, mixed)
+    return PulseParams(len(carrier.scales) + 1, amps).flatten()
 
 
 def sample_random_params(d, n_max, a_max, seed):

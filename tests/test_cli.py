@@ -2,11 +2,13 @@
 the exit-code contract, and output determinism."""
 
 import json
+import os
 
 import numpy as np
 import pytest
 
-from qugray import cli
+from qugray import cli, fileio, interpret, noisegen
+from qugray.errors import DatasetIOError
 
 TINY_CFG = """
 dimension = 2
@@ -132,6 +134,11 @@ class TestOptimize:
                        "--iters", "1"])
         assert rc == 3
 
+    def test_zero_restarts_exits_2(self, tmp_path, tiny_model):
+        rc = cli.main(["optimize", "--model", tiny_model, "--gate", "X",
+                       "--out", str(tmp_path / "r.json"), "--restarts", "0"])
+        assert rc == 2
+
     def test_dim_mismatched_eval_config_exits_2(self, tmp_path, tiny_model):
         rc = cli.main(["optimize", "--model", tiny_model, "--gate", "X",
                        "--out", str(tmp_path / "r.json"), "--restarts", "1",
@@ -149,6 +156,24 @@ class TestLandscapeExpand:
         lines = out.read_text().splitlines()
         assert lines[0] == "pulse_id,epsilon,J,N,fidelity"
         assert len(lines) == 1 + 2 * 5
+
+    @pytest.mark.parametrize("text, code", [
+        ('{"gate": "X"}', 3),                       # no theta_star
+        ('{"theta_star": [0.0, 1.0]}', 2),          # wrong length
+        ('{"theta_star": [0, 0, 0, NaN, 0, 0, 0, 0]}', 3),
+        ('{"theta_star": ["a", 0, 0, 0, 0, 0, 0, 0]}', 3),
+        ('[1, 2]', 3),
+        ('not json', 3),
+    ], ids=["no-key", "length", "nan", "text", "list", "garbage"])
+    def test_bad_optimized_result(self, tmp_path, tiny_model, tiny_dataset,
+                                  text, code):
+        opt = tmp_path / "opt.json"
+        opt.write_text(text)
+        rc = cli.main(["landscape", "--model", tiny_model, "--pulses",
+                       f"{tiny_dataset}:0", "--gate", "X", "--grid", "-1:1:3",
+                       "--out", str(tmp_path / "land.csv"), "--optimized",
+                       str(opt), "--no-fidelity"])
+        assert rc == code
 
     def test_expand_json(self, tmp_path, tiny_model, tiny_dataset):
         out = tmp_path / "exp.json"
@@ -186,3 +211,61 @@ class TestGridParsing:
                        tiny_dataset, "--gate", "X", "--grid", "oops",
                        "--out", str(tmp_path / "x.csv")])
         assert rc == 2
+
+
+def _exit_code(write):
+    """Run a library writer as the CLI would: DatasetIOError is exit 3."""
+    try:
+        write()
+    except DatasetIOError:
+        return 3
+    return 0
+
+
+# writer name -> (file name, write(ctx, path, variant) -> exit code); each
+# variant writes different content to the same path
+WRITERS = {
+    "train-curves": ("curves.csv", lambda ctx, path, v: cli.main([
+        "train", "--dataset", ctx["dataset"], "--out",
+        str(path.parent / "m.qgm"), "--curves", str(path), "--iters",
+        str(2 + v), "--seed", "1", "--batch", "4"])),
+    "expand-json": ("exp.json", lambda ctx, path, v: cli.main([
+        "expand", "--model", ctx["model"], "--dataset", ctx["dataset"],
+        "--pulse-id", str(v), "--out", str(path)])),
+    "psd-check-csv": ("psd.csv", lambda ctx, path, v: cli.main([
+        "psd-check", "--config", ctx["config"], "--out", str(path),
+        "--seed", str(v)])),
+    "landscape-rows": ("land.csv", lambda ctx, path, v: _exit_code(
+        lambda: interpret.rows_to_csv([{"pulse_id": v, "epsilon": 0.0,
+                                        "J": 1.0, "N": 0.5,
+                                        "fidelity": 0.9}], path))),
+    "noise-dump": ("noise.bin", lambda ctx, path, v: _exit_code(
+        lambda: noisegen.dump_realizations(noisegen.synthesize(
+            noisegen.NoiseSpec(alpha1=1.0, alpha2=1.0, channels=2,
+                               realizations=2, steps=16, total_time=1.0),
+            seed=v), path))),
+}
+
+
+@pytest.mark.parametrize("writer", sorted(WRITERS))
+def test_failed_write_keeps_previous_file(writer, tmp_path, monkeypatch,
+                                          tiny_config, tiny_dataset,
+                                          tiny_model):
+    name, write = WRITERS[writer]
+    ctx = {"config": tiny_config, "dataset": tiny_dataset,
+           "model": tiny_model}
+    path = tmp_path / name
+    assert write(ctx, path, 0) == 0
+    before = path.read_bytes()
+    real_replace = os.replace
+
+    def replace(src, dst):
+        # only the write under test fails, as if the disk filled up
+        if os.fspath(dst) == str(path):
+            raise OSError("no space left on device")
+        return real_replace(src, dst)
+
+    monkeypatch.setattr(fileio.os, "replace", replace)
+    assert write(ctx, path, 1) == 3
+    assert path.read_bytes() == before
+    assert not [p for p in os.listdir(tmp_path) if p.endswith(".tmp")]

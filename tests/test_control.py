@@ -5,7 +5,7 @@ import pytest
 
 from conftest import make_config
 from qugray import algebra, control, dynamics, graybox, pulses
-from qugray.errors import InvalidConfigError
+from qugray.errors import InvalidConfigError, OptimizationFailure
 
 
 @pytest.fixture(scope="module")
@@ -104,6 +104,27 @@ class TestOptimize:
         trace = np.array(res1.cost_trace)
         assert (np.diff(trace) <= 0.0).all()
         assert res1.cost == trace[-1] < trace[0]
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_converges_to_reachable_target(self, closed_cfg, exact_model,
+                                           seed):
+        # the target is realized by 0.9 x the restart's own start point, so
+        # it is reachable from every draw
+        start = control.optimize_gate(exact_model, "X01", restarts=1,
+                                      seed=seed, max_iters=0).theta_star
+        params = pulses.PulseParams.unflatten(0.9 * start, 3,
+                                              closed_cfg.n_max)
+        target = dynamics.propagate_closed(closed_cfg, params)
+        res = control.optimize_gate(
+            exact_model, control.TargetGate("reachable", target, "subspace"),
+            restarts=1, seed=seed, max_iters=40)
+        assert res.cost < 1e-7
+
+    def test_non_finite_model_fails(self, closed_cfg):
+        model = graybox.GrayboxModel(closed_cfg, seed=0)
+        model.weights["head.b"][:] = np.nan
+        with pytest.raises(OptimizationFailure), np.errstate(invalid="ignore"):
+            control.optimize_gate(model, "X01", restarts=2, max_iters=5)
 
     def test_worker_invariance(self, exact_model):
         kwargs = dict(restarts=2, seed=1, max_iters=6)

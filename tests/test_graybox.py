@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from conftest import make_config, random_density
-from qugray import dynamics, graybox, noiseop, pulses
+from qugray import control, dynamics, graybox, noiseop, pulses
 from qugray.errors import ContractViolationError, DatasetIOError, \
     TrainingDiverged
 
@@ -42,6 +42,25 @@ def model_and_batch(request, model, batch):
     m = graybox.GrayboxModel(make_config(d=request.param, steps=160,
                                          realizations=6), seed=3)
     return m, random_batch(m)
+
+
+def pulse_gradient_error(model, seed=0):
+    """Relative error of cost_and_grad's pulse gradient against central
+    differences of the gate cost at h = 1e-6 a_max; also checks that the
+    cost equals gate_cost."""
+    rng = np.random.default_rng(seed)
+    a_max = model.config.a_max()
+    L = 2 * (model.d - 1) * model.n_max
+    theta = rng.uniform(-0.6 * a_max, 0.6 * a_max, size=L)
+    targets = control.target_expectations(
+        model, control.parse_gate("X01", model.d).unitary)
+    cost, grad = model.cost_and_grad(theta, targets)
+    assert cost == control.gate_cost(model, theta, None, targets)
+    h = 1e-6 * a_max
+    fd = np.array([(control.gate_cost(model, theta + h * e, None, targets)
+                    - control.gate_cost(model, theta - h * e, None, targets))
+                   / (2.0 * h) for e in np.eye(L)])
+    return np.linalg.norm(grad - fd) / np.linalg.norm(fd)
 
 
 def randomize_weights(model, seed, scale):
@@ -134,6 +153,14 @@ class TestLossAndGrad:
         err = graybox.finite_difference_check(model, thetas, targets, sigmas,
                                               n_weights=20, step=1e-5, seed=0)
         assert err < 1e-4
+
+    @pytest.mark.parametrize("d", [2, 3, 4])
+    def test_pulse_gradient_matches_finite_differences(self, d):
+        # a generic weight point, so the blackbox branch carries weight
+        m = graybox.GrayboxModel(make_config(d=d, steps=160, realizations=6),
+                                 seed=3)
+        randomize_weights(m, d, scale=0.3)
+        assert pulse_gradient_error(m) <= 1e-6
 
     def test_loss_and_grad_consistent_with_loss(self, model, batch):
         thetas, sigmas, targets = batch
@@ -376,6 +403,11 @@ class TestExactClosedModel:
         direct = dynamics.expectations_from_propagators(
             u0[None], cfg.observable_basis())
         np.testing.assert_array_equal(E, direct)
+
+    def test_pulse_gradient_matches_finite_differences(self):
+        exact = graybox.ExactClosedModel(make_config(d=3, steps=160,
+                                                     realizations=4))
+        assert pulse_gradient_error(exact) <= 1e-6
 
     def test_noise_operators_are_identity(self):
         cfg = make_config(d=3, steps=160, realizations=4)

@@ -101,6 +101,15 @@ class TestWaveform:
             pulses.waveform(p1.scaled(0.25), carrier),
             0.25 * pulses.waveform(p1, carrier), atol=0.0)
 
+    def test_transpose_is_adjoint(self):
+        # <waveform(theta), g> = <theta, waveform_transpose(g)>
+        carrier = self.carrier()
+        params = pulses.sample_random_params(3, 5, 1.0, seed=2)
+        g = np.random.default_rng(3).normal(size=carrier.steps)
+        lhs = pulses.waveform(params, carrier) @ g
+        rhs = params.flatten() @ pulses.waveform_transpose(g, carrier, 5)
+        assert lhs == pytest.approx(rhs, rel=1e-12)
+
     def test_dimension_mismatch(self):
         params = pulses.PulseParams(2, np.zeros((3, 1, 2)))
         with pytest.raises(InvalidConfigError):

@@ -68,12 +68,19 @@ def _closed_propagator(config, theta):
     return params, dynamics.propagate_closed(config, params)
 
 
-def _state_pullback(config, params, kets, u0, g, W):
+def _closed_states(config, kets, theta):
+    """(PulseParams, psi, sigma) for one flattened pulse vector: the evolved
+    states psi_s = U_0 q_s and sigma_s = psi_s psi_s^H."""
+    params, u0 = _closed_propagator(config, theta)
+    psi = kets @ u0.T  # (S, d)
+    return params, psi, np.einsum("sa,sb->sab", psi, psi.conj())
+
+
+def _state_pullback(config, params, kets, psi, g, W):
     """dL/dtheta through U_0 alone, for predictions Re tr(W_o sigma_s) with
-    sigma_s = U_0 |q_s><q_s| U_0^H and g[s, o] = dL/d prediction. With W_h
-    the Hermitian part of W, G_U = sum_so g_so W_h,o U_0 q_s q_s^H."""
+    sigma_s = psi_s psi_s^H, psi_s = U_0 q_s, and g[s, o] = dL/d prediction.
+    With W_h the Hermitian part of W, G_U = sum_so g_so W_h,o psi_s q_s^H."""
     W_h = 0.5 * (W + W.conj().swapaxes(-1, -2))
-    psi = kets @ u0.T
     G_U = np.einsum("so,oab,sb,sc->ac", g, W_h, psi, kets.conj())
     return dynamics.pullback_propagate_closed(config, params, G_U)
 
@@ -203,9 +210,7 @@ class GrayboxModel:
 
     def state_stack(self, theta):
         """sigma_s = U0 |q_s><q_s| U0^H for one flattened pulse vector."""
-        _, u0 = _closed_propagator(self.config, theta)
-        psi = self._kets @ u0.T  # (S, d)
-        return np.einsum("sa,sb->sab", psi, psi.conj())
+        return _closed_states(self.config, self._kets, theta)[2]
 
     # -- blackbox forward --------------------------------------------------
 
@@ -349,35 +354,33 @@ class GrayboxModel:
         pred, caches = self.forward_batch(thetas, sigma_stacks)
         resid = pred - targets
         loss = float(np.mean(resid ** 2))
-        g_out = (2.0 / resid.size) * resid.reshape(B, -1, self.n_obs)
-        # E = Re tr(W sigma) - b  =>  G_W = 1/2 sum_s gE sigma_s
-        G_W = (0.5 * g_out.transpose(0, 2, 1) @ caches["sigma"]).view(
-            complex).reshape(B, self.n_obs, self.d, self.d)
-        grads = {name: np.zeros_like(arr) for name, arr in self.weights.items()
-                 if name.startswith("enc.")}
-        gh = self._heads_back(caches["heads"], G_W, grads)
-        self._encode_back(caches["enc"], gh, grads)
+        grads, _ = self._backward(
+            caches, (2.0 / resid.size) * resid.reshape(B, -1, self.n_obs))
         return loss, grads
 
     def cost_and_grad(self, theta, targets):
         """Gate cost sum (E(theta) - targets)^2 for one pulse and its exact
         gradient in theta: through the blackbox (W) and through U_0 (sigma)."""
         theta = np.asarray(theta, dtype=float)
-        params, u0 = _closed_propagator(self.config, theta)
-        psi = self._kets @ u0.T
-        sigma = np.einsum("sa,sb->sab", psi, psi.conj())
+        params, psi, sigma = _closed_states(self.config, self._kets, theta)
         pred, caches = self.forward_batch(theta[None], sigma[None])
         resid = pred[0] - targets
         g = 2.0 * resid.reshape(-1, self.n_obs)
-        G_W = (0.5 * g.T @ caches["sigma"][0]).view(complex).reshape(
-            1, self.n_obs, self.d, self.d)
+        _, g_theta = self._backward(caches, g[None])
+        grad = g_theta[0] + _state_pullback(self.config, params, self._kets,
+                                            psi, g, caches["heads"]["W"][0])
+        return float(np.sum(resid ** 2)), grad
+
+    def _backward(self, caches, g_out):
+        """Reverse of forward_batch at fixed sigma: prediction cotangents
+        g_out (B, S, n_obs) -> (weight gradients, pulse cotangent (B, L))."""
+        # E = Re tr(W sigma) - b  =>  G_W = 1/2 sum_s gE sigma_s
+        G_W = (0.5 * g_out.transpose(0, 2, 1) @ caches["sigma"]).view(
+            complex).reshape(len(g_out), self.n_obs, self.d, self.d)
         grads = {name: np.zeros_like(arr) for name, arr in self.weights.items()
                  if name.startswith("enc.")}
         gh = self._heads_back(caches["heads"], G_W, grads)
-        grad = self._encode_back(caches["enc"], gh, grads)[0]
-        grad += _state_pullback(self.config, params, self._kets, u0, g,
-                                caches["heads"]["W"][0])
-        return float(np.sum(resid ** 2)), grad
+        return grads, self._encode_back(caches["enc"], gh, grads)
 
     def _heads_back(self, cache, G_W, grads):
         """Reverse of _heads: G_W (B, n_obs, d, d) -> the head and cell
@@ -666,7 +669,8 @@ class ExactClosedModel:
         params, u0 = _closed_propagator(self.config, theta)
         resid = dynamics.expectations_from_propagators(u0[None],
                                                        self.basis) - targets
-        grad = _state_pullback(self.config, params, self._kets, u0,
+        grad = _state_pullback(self.config, params, self._kets,
+                               self._kets @ u0.T,
                                2.0 * resid.reshape(-1, self.n_obs),
                                np.stack(self.basis.elements))
         return float(np.sum(resid ** 2)), grad

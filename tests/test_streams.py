@@ -37,6 +37,8 @@ def test_d4_restart_does_not_replay_channel_3_noise():
     # with no descent steps the result is the restart's seeded start point
     res = control.optimize_gate(graybox.ExactClosedModel(cfg), "X01",
                                 restarts=1, seed=2, max_iters=0)
-    replay = noise_stream(2, 3, 0).uniform(-0.6 * bound, 0.6 * bound,
-                                           size=res.theta_star.size)
+    # drawn in the restart's own coordinates u = theta / bound, so a key
+    # collision would reproduce theta_star bit for bit
+    replay = bound * noise_stream(2, 3, 0).uniform(-0.6, 0.6,
+                                                   size=res.theta_star.size)
     assert not np.array_equal(res.theta_star, replay)

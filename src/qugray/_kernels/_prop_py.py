@@ -13,14 +13,21 @@ truncation error stays below the unit roundoff (cf. Al-Mohy & Higham, SIAM J.
 Matrix Anal. Appl. 31, 970 (2009)). No per-matrix LAPACK call is made. The
 trace phases are scalars, so their product is applied once at the end.
 
+Rows: one call propagates a stack of trajectories, one per row: noise
+realizations under one waveform, or pulses (one waveform per row) without
+noise. Each row's result depends on that row's inputs alone, bit for bit,
+whatever else shares the call: the degree and scaling are chosen per row
+(rows that share them are evaluated together), and every operation is
+elementwise across rows, with a fixed summation order.
+
 Layout: structure of arrays. A stack of d x d matrices is a d x d nested
 list whose entry [i][j] holds that matrix element for the whole stack as one
-(realizations, steps) array, so a matrix product is d^3 elementwise vector
+(rows, steps) array, so a matrix product is d^3 elementwise vector
 operations. Polynomials in X are symmetric and commute, so their products
 compute the upper triangle only and share each entry with its mirror. The
 time-ordered product is a pairwise tree over the step axis; once a level
 holds few matrices the per-call overhead outweighs the vector length, and the
-remaining levels run as stacked np.matmul.
+remaining levels run on one stacked array.
 """
 
 import math
@@ -40,8 +47,8 @@ _COS = [(-1) ** n / math.factorial(2 * n) for n in range(_MAX_DEGREE + 1)]
 # coefficients of -sin(X) / X, so that the polynomial times X is N = -sin X
 _NEG_SINC = [-(-1) ** n / math.factorial(2 * n + 1)
              for n in range(_MAX_DEGREE + 1)]
-# levels of the tree product holding fewer matrices than this use np.matmul
-_MATMUL_BELOW = 256
+# levels of the tree product holding fewer matrices than this run stacked
+_STACK_BELOW = 256
 
 
 def _upper(d):
@@ -97,16 +104,27 @@ def _polynomial(coefs, powers):
     return acc
 
 
-def _cos_neg_sin(x):
-    """(cos X, -sin X) for a symmetric stack X, both symmetric stacks."""
+def _row_orders(peak):
+    """(degree, squarings) per row from peak[i][j], the row's max_k |X_ij|
+    over its steps, via the bound theta = max_k ||X_k||_1 <= max_i sum_j
+    peak[i][j]."""
+    theta = np.max([sum(row) for row in peak], axis=0)
+    orders = []
+    for t in theta.tolist():
+        degree = next((q for q in range(1, _MAX_DEGREE + 1) if t <= _THETA[q]),
+                      _MAX_DEGREE)
+        squarings = 0
+        if t > _THETA[_MAX_DEGREE]:
+            squarings = math.ceil(math.log2(t / _THETA[_MAX_DEGREE]))
+        orders.append((degree, squarings))
+    return orders
+
+
+def _cos_neg_sin(x, degree, squarings):
+    """(cos X, -sin X) for a symmetric stack X, both symmetric stacks, by the
+    degree-`degree` polynomials at X / 2^squarings and double-angle steps."""
     d = len(x)
-    theta = max(sum(np.abs(x[i][j]).max() for j in range(d))
-                for i in range(d))
-    degree = next((q for q in range(1, _MAX_DEGREE + 1) if theta <= _THETA[q]),
-                  _MAX_DEGREE)
-    squarings = 0
-    if theta > _THETA[_MAX_DEGREE]:
-        squarings = math.ceil(math.log2(theta / _THETA[_MAX_DEGREE]))
+    if squarings:
         scale = 2.0 ** -squarings
         x = _mirror([x[i][j] * scale for i, j in _upper(d)], d)
     powers = [None, _sym_matmul(x, x)]
@@ -126,61 +144,84 @@ def _cos_neg_sin(x):
     return cos, neg_sin
 
 
-def _step_unitaries(drift_diag, coupling, wave, noise_diags, dt):
-    """Traceless-part step unitaries cos X_k - i sin X_k as a (c, M) stack,
-    and the summed trace phase dt * sum_k mu_k per realization, shape (c,)."""
-    c, M, d = noise_diags.shape
-    diag = drift_diag + noise_diags + wave[:, None] * np.diag(coupling)
+def _step_unitaries(drift_diag, coupling, waves, noise_diags, dt):
+    """Traceless-part step unitaries cos X_k - i sin X_k as an (R, M) stack,
+    and the trace shifts mu_k, shape (R, M).
+
+    waves: (R, M), or (M,) shared by every row; noise_diags: (R, M, d) or
+    None. R is the larger leading length of the two.
+    """
+    d = drift_diag.shape[0]
+    waves = np.atleast_2d(waves)
+    base = drift_diag if noise_diags is None else drift_diag + noise_diags
+    diag = base + waves[..., None] * np.diag(coupling)
+    R, M = diag.shape[:2]
     mu = diag.mean(axis=-1)
     x = [[None] * d for _ in range(d)]
+    peak = [[None] * d for _ in range(d)]
     for i in range(d):
         x[i][i] = dt * (diag[..., i] - mu)
+        peak[i][i] = np.abs(x[i][i]).max(axis=-1)
         for j in range(i + 1, d):
-            x[i][j] = x[j][i] = np.broadcast_to(
-                (dt * coupling[i, j]) * wave, (c, M)).copy()
-    cos, neg_sin = _cos_neg_sin(x)
-    entries = []
-    for i, j in _upper(d):
-        u = np.empty((c, M), dtype=complex)
-        u.real = cos[i][j]
-        u.imag = neg_sin[i][j]
-        entries.append(u)
-    return _mirror(entries, d), dt * mu.sum(axis=-1)
+            # a shared wave's bound is taken once, before the rows copy it
+            off = (dt * coupling[i, j]) * waves
+            x[i][j] = x[j][i] = np.broadcast_to(off, (R, M)).copy()
+            peak[i][j] = peak[j][i] = np.abs(off).max(axis=-1)
+    orders = _row_orders(peak)
+    groups = sorted(set(orders))
+    entries = None
+    for degree, squarings in groups:
+        if len(groups) == 1:
+            rows, xg = slice(None), x
+        else:
+            rows = np.flatnonzero([o == (degree, squarings) for o in orders])
+            xg = _mirror([x[i][j][rows] for i, j in _upper(d)], d)
+        cos, neg_sin = _cos_neg_sin(xg, degree, squarings)
+        if entries is None:
+            entries = [np.empty((R, M), dtype=complex) for _ in _upper(d)]
+        for (i, j), u in zip(_upper(d), entries):
+            u.real[rows] = cos[i][j]
+            u.imag[rows] = neg_sin[i][j]
+    return _mirror(entries, d), mu
 
 
-def _stacked(u, index=slice(None)):
-    """Nested-list stack -> ndarray (..., d, d) of the step slice `index`."""
-    d = len(u)
-    first = u[0][0][:, index]
-    out = np.empty(first.shape + (d, d), dtype=complex)
-    for i in range(d):
-        for j in range(d):
-            out[..., i, j] = u[i][j][:, index]
+def _product(a, b):
+    """a @ b over the two leading (matrix) axes of (d, d, ...) arrays, each
+    entry summed over k in ascending order as in `_entry`."""
+    out = a[:, 0, None] * b[None, 0]
+    for k in range(1, a.shape[0]):
+        out += a[:, k, None] * b[None, k]
     return out
 
 
 def _chain(u):
-    """Ordered product U[M-1] @ ... @ U[0] along the step axis -> (c, d, d)."""
+    """Ordered product U[M-1] @ ... @ U[0] along the step axis -> (R, d, d).
+
+    A pairwise tree. Its levels run on the nested list while they hold many
+    matrices, then on one (d, d, R, steps) array, where a level costs d
+    calls instead of d^3. Both compute each entry by the same sum, so where
+    the switch falls changes no bit of any row.
+    """
     d = len(u)
     leftovers = []
-    while u[0][0].size >= _MATMUL_BELOW and u[0][0].shape[1] > 1:
+    while u[0][0].size >= _STACK_BELOW and u[0][0].shape[1] > 1:
         if u[0][0].shape[1] % 2 == 1:
-            leftovers.append(_stacked(u, -1))
-            u = [[entry[:, :-1] for entry in row] for row in u]
-        later = [[entry[:, 1::2] for entry in row] for row in u]
-        earlier = [[entry[:, 0::2] for entry in row] for row in u]
+            leftovers.append(np.array([[e[:, -1] for e in row] for row in u]))
+            u = [[e[:, :-1] for e in row] for row in u]
+        later = [[e[:, 1::2] for e in row] for row in u]
+        earlier = [[e[:, 0::2] for e in row] for row in u]
         u = [[_entry(later, earlier, i, j) for j in range(d)]
              for i in range(d)]
-    stack = _stacked(u)
-    while stack.shape[-3] > 1:
-        if stack.shape[-3] % 2 == 1:
-            leftovers.append(stack[..., -1, :, :])
-            stack = stack[..., :-1, :, :]
-        stack = np.matmul(stack[..., 1::2, :, :], stack[..., 0::2, :, :])
-    out = stack[..., 0, :, :]
+    stack = np.array(u)
+    while stack.shape[-1] > 1:
+        if stack.shape[-1] % 2 == 1:
+            leftovers.append(stack[..., -1])
+            stack = stack[..., :-1]
+        stack = _product(stack[..., 1::2], stack[..., 0::2])
+    out = stack[..., 0]
     for left in reversed(leftovers):
-        out = np.matmul(left, out)
-    return out
+        out = _product(left, out)
+    return np.moveaxis(out, -1, 0)
 
 
 def _real_coupling(coupling):
@@ -193,25 +234,39 @@ def _real_coupling(coupling):
     return coupling.astype(float)
 
 
-def _propagate(drift_diag, coupling, wave, noise_diags, dt):
-    u, phase = _step_unitaries(drift_diag, coupling, wave, noise_diags, dt)
-    return _chain(u) * np.exp(-1j * phase)[:, None, None]
+def _propagate(drift_diag, coupling, waves, noise_diags, dt,
+               return_steps=False):
+    u, mu = _step_unitaries(drift_diag, coupling, waves, noise_diags, dt)
+    phase = dt * mu.sum(axis=-1)
+    out = _chain(u) * np.exp(-1j * phase)[:, None, None]
+    if not return_steps:
+        return out
+    # row 0's full step unitaries exp(-i dt H_k), (M, d, d)
+    steps = np.array([[e[0] for e in row] for row in u]).transpose(2, 0, 1)
+    return out, steps * np.exp(-1j * dt * mu[0])[:, None, None]
 
 
-def propagate_piecewise(drift_diag, coupling, wave, noise_diag, dt):
+def propagate_piecewise(drift_diag, coupling, wave, noise_diag, dt,
+                        return_steps=False):
     """Time-ordered product over one noise trajectory (or None for closed).
 
     drift_diag: (d,) float, coupling: (d, d) real symmetric (complex dtype
-    with zero imaginary part accepted), wave: (M,) float, noise_diag: (M, d)
-    float or None. Returns (d, d).
+    with zero imaginary part accepted), wave: (M,) float, or (B, M) for B
+    pulses propagated as rows of one call, noise_diag: (M, d) float or None.
+    Returns (d, d), or (B, d, d) for a (B, M) wave; each row equals its
+    single-wave result bit for bit. With return_steps, also the step
+    unitaries exp(-i dt H_k) of the (first) trajectory, shape (M, d, d), for
+    `pullback_closed`.
     """
     drift_diag = np.asarray(drift_diag, dtype=float)
     wave = np.asarray(wave, dtype=float)
-    if noise_diag is None:
-        noise = np.zeros((1, wave.shape[0], drift_diag.shape[0]))
-    else:
-        noise = np.asarray(noise_diag, dtype=float)[None]
-    return _propagate(drift_diag, _real_coupling(coupling), wave, noise, dt)[0]
+    noise = None if noise_diag is None else \
+        np.asarray(noise_diag, dtype=float)[None]
+    out = _propagate(drift_diag, _real_coupling(coupling), wave, noise, dt,
+                     return_steps)
+    if wave.ndim == 2:
+        return out
+    return (out[0][0], out[1]) if return_steps else out[0]
 
 
 def _prefix_products(steps):
@@ -225,10 +280,11 @@ def _prefix_products(steps):
     return prefix
 
 
-def pullback_closed(drift_diag, coupling, wave, dt, g_u):
+def pullback_closed(drift_diag, coupling, wave, dt, g_u, steps):
     """dL/dwave, shape (M,), for a real function L of the closed propagator
     U = propagate_piecewise(drift_diag, coupling, wave, None, dt), given the
-    conjugate cotangent G = dL/d conj(U), (d, d).
+    conjugate cotangent G = dL/d conj(U), (d, d), and `steps`, the step
+    unitaries that forward call returns with return_steps=True.
 
     With steps S_k = exp(-i dt H_k) (the kernel's own step unitaries times
     their trace phases), prefixes P_k = S_k ... S_0 and U = P_{M-1},
@@ -243,13 +299,9 @@ def pullback_closed(drift_diag, coupling, wave, dt, g_u):
     drift_diag = np.asarray(drift_diag, dtype=float)
     coupling = _real_coupling(coupling)
     wave = np.asarray(wave, dtype=float)
-    M, d = wave.shape[0], drift_diag.shape[0]
-    u, _ = _step_unitaries(drift_diag, coupling, wave, np.zeros((1, M, d)),
-                           dt)
+    d = drift_diag.shape[0]
     h = np.diag(drift_diag) + wave[:, None, None] * coupling  # (M, d, d)
-    mu = np.trace(h, axis1=1, axis2=2) / d
-    prefix = _prefix_products(_stacked(u)[0]
-                              * np.exp(-1j * dt * mu)[:, None, None])
+    prefix = _prefix_products(steps)
     before = np.empty_like(prefix)
     before[0] = np.eye(d)
     before[1:] = prefix[:-1]
@@ -270,7 +322,8 @@ def propagate_piecewise_batch(drift_diag, coupling, wave, noise_diags, dt,
                               chunk=32):
     """Propagators for a (K, M, d) stack of noise trajectories -> (K, d, d).
 
-    Chunked over realizations to bound the working set.
+    Chunked over realizations to bound the working set; each realization's
+    propagator is the same whatever the chunk.
     """
     noise_diags = np.asarray(noise_diags, dtype=float)
     K, _, d = noise_diags.shape

@@ -177,12 +177,23 @@ def optimize_gate(model, gate, restarts=5, seed=0, max_iters=200, workers=1):
                               iterations=len(trace) - 1, seed=seed)
 
 
+def evaluation_ensemble(config, k_eval=None):
+    """The noise ensemble evaluate_fidelity averages over (None for closed
+    configs); k_eval overrides the ensemble size."""
+    if config.closed:
+        return None
+    spec = config.noise
+    if k_eval is not None and k_eval != spec.realizations:
+        spec = dataclasses.replace(spec, realizations=k_eval)
+    return noisegen.synthesize(spec, seed=config.seed)
+
+
 def evaluate_fidelity(config, theta, gate, real_set=None, k_eval=None):
     """Process fidelity of the simulated channel against the target.
 
     Closed configs use the single unitary U_0; noisy configs build the Choi
-    matrix of the Monte-Carlo-averaged channel over the realization ensemble
-    (k_eval overrides the ensemble size).
+    matrix of the Monte-Carlo-averaged channel over the realization ensemble,
+    real_set or else evaluation_ensemble(config, k_eval).
     """
     if isinstance(gate, str):
         gate = parse_gate(gate, config.dim)
@@ -192,10 +203,7 @@ def evaluate_fidelity(config, theta, gate, real_set=None, k_eval=None):
         u_stack = dynamics.propagate_closed(config, params)[None]
     else:
         if real_set is None:
-            spec = config.noise
-            if k_eval is not None and k_eval != spec.realizations:
-                spec = dataclasses.replace(spec, realizations=k_eval)
-            real_set = noisegen.synthesize(spec, seed=config.seed)
+            real_set = evaluation_ensemble(config, k_eval)
         u_stack = dynamics.propagate_ensemble(config, params, real_set)
     j_actual = dynamics.choi_of_propagators(u_stack)
     j_target = choi_of_unitary(gate.unitary)

@@ -26,6 +26,10 @@ from .errors import DatasetIOError, InvalidConfigError, InvertibilityError, \
     QugrayError
 
 DATASET_ORDERING_VERSION = 2
+# pulses per closed-propagation kernel call, and examples per dataset work
+# unit: bounds the waveform and step-unitary stacks (a full-scale dataset's
+# waveforms alone would take ~1 GB)
+CLOSED_BLOCK = 8
 # default split ratio: 8192 train / 1840 test at the full 10032-example scale
 DEFAULT_TEST_FRACTION = 1840.0 / 10032.0
 
@@ -155,20 +159,47 @@ def synthesize_noise(config, seed=None):
                                seed=config.seed if seed is None else seed)
 
 
+def propagate_closed_batch(config, thetas):
+    """U_0(T) for a (B, L) stack of flattened pulse vectors -> (B, d, d).
+
+    The pulses run as rows of one kernel call per block of CLOSED_BLOCK, so
+    the waveform and step-unitary stacks stay bounded whatever B is. A row's
+    propagator is the same bits whatever else is in the stack.
+    """
+    thetas = np.asarray(thetas, dtype=float)
+    omega = np.array(config.omega)
+    out = np.empty((len(thetas), config.dim, config.dim), dtype=complex)
+    for start in range(0, len(thetas), CLOSED_BLOCK):
+        block = thetas[start:start + CLOSED_BLOCK]
+        waves = pulses.waveforms(block, config.carrier, config.n_max)
+        out[start:start + len(block)] = propagate_piecewise(
+            omega, config.coupling, waves, None, config.carrier.dt)
+    return out
+
+
 def propagate_closed(config, params):
-    """U_0(T): noise term omitted; chronological product, k = 0 applied first."""
-    wave = pulses.waveform(params, config.carrier)
-    return propagate_piecewise(np.array(config.omega), config.coupling, wave,
-                               None, config.carrier.dt)
+    """U_0(T): noise term omitted; chronological product, k = 0 applied first.
+    A one-row `propagate_closed_batch`."""
+    return propagate_closed_batch(config, params.flatten()[None])[0]
 
 
-def pullback_propagate_closed(config, params, g_u):
-    """dL/dtheta (flattened pulse layout) for a real function L of
-    U_0 = propagate_closed(config, params), given G = dL/d conj(U_0)."""
+def closed_forward(config, params):
+    """(U_0, tape): the propagate_closed propagator, and the waveform and step
+    unitaries that pullback_propagate_closed needs from this forward pass."""
     wave = pulses.waveform(params, config.carrier)
+    u0, steps = propagate_piecewise(np.array(config.omega), config.coupling,
+                                    wave, None, config.carrier.dt,
+                                    return_steps=True)
+    return u0, (wave, steps)
+
+
+def pullback_propagate_closed(config, tape, g_u):
+    """dL/dtheta (flattened pulse layout) for a real function L of U_0, given
+    the tape of its closed_forward pass and G = dL/d conj(U_0)."""
+    wave, steps = tape
     g_wave = pullback_closed(np.array(config.omega), config.coupling, wave,
-                             config.carrier.dt, g_u)
-    return pulses.waveform_transpose(g_wave, config.carrier, params.n_max)
+                             config.carrier.dt, g_u, steps=steps)
+    return pulses.waveform_transpose(g_wave, config.carrier, config.n_max)
 
 
 def _noise_diag(config, real_set, r):
@@ -283,22 +314,29 @@ class DatasetExample:
 _WORKER_STATE = {}
 
 
-def _init_worker(config_dict, samples, total_time, seed, a_max):
+def _init_worker(config_dict, real_set, a_max):
     cfg = SystemConfig.from_dict(config_dict)
     _WORKER_STATE["config"] = cfg
     _WORKER_STATE["basis"] = cfg.observable_basis()
-    _WORKER_STATE["real_set"] = noisegen.NoiseRealizationSet(
-        samples=samples, seed=seed, total_time=total_time)
+    _WORKER_STATE["real_set"] = real_set
     _WORKER_STATE["a_max"] = a_max
 
 
-def _make_example(index):
+def _make_examples(indices):
+    """(index, theta, E) for a block of example indices: closed configs
+    propagate the block as one batch, noisy ones each example's ensemble."""
     cfg = _WORKER_STATE["config"]
-    params = _sample_example_params(cfg, _WORKER_STATE["a_max"], cfg.seed, index)
-    E = monte_carlo_expectations(cfg, params,
-                                 real_set=_WORKER_STATE["real_set"],
-                                 basis=_WORKER_STATE["basis"])
-    return index, params.flatten(), E
+    basis = _WORKER_STATE["basis"]
+    params = [_sample_example_params(cfg, _WORKER_STATE["a_max"], cfg.seed, i)
+              for i in indices]
+    thetas = np.stack([p.flatten() for p in params])
+    if cfg.closed:
+        u_stacks = propagate_closed_batch(cfg, thetas)[:, None]
+    else:
+        u_stacks = [propagate_ensemble(cfg, p, _WORKER_STATE["real_set"])
+                    for p in params]
+    return [(i, theta, expectations_from_propagators(u, basis))
+            for i, theta, u in zip(indices, thetas, u_stacks)]
 
 
 def _sample_example_params(config, a_max, seed, index):
@@ -310,27 +348,27 @@ def _sample_example_params(config, a_max, seed, index):
 def generate_dataset(config, n_examples, seed=None, workers=1,
                      test_fraction=DEFAULT_TEST_FRACTION):
     """Sample pulse/expectation pairs; one noise ensemble is synthesized per
-    dataset and reused across examples. Deterministic for fixed (config, seed)
-    regardless of worker count.
+    noisy dataset and reused across examples (closed configs need none).
+    Deterministic for fixed (config, seed) regardless of worker count.
     """
     if n_examples < 1:
         raise InvalidConfigError("need at least one example")
     seed = config.seed if seed is None else seed
-    real_set = noisegen.synthesize(config.noise, seed=seed)
-    a_max = config.a_max()
+    real_set = None if config.closed else \
+        noisegen.synthesize(config.noise, seed=seed)
     cfg_dict = dict(config.to_dict(), seed=seed)
-    init_args = (cfg_dict, real_set.samples, real_set.total_time, seed, a_max)
-    indices = range(n_examples)
+    init_args = (cfg_dict, real_set, config.a_max())
+    blocks = [range(start, min(start + CLOSED_BLOCK, n_examples))
+              for start in range(0, n_examples, CLOSED_BLOCK)]
     if workers <= 1:
         _init_worker(*init_args)
-        results = [_make_example(i) for i in indices]
+        results = [_make_examples(b) for b in blocks]
     else:
         with multiprocessing.Pool(workers, initializer=_init_worker,
                                   initargs=init_args) as pool:
-            results = list(pool.imap(_make_example, indices, chunksize=8))
-    results.sort(key=lambda item: item[0])
+            results = list(pool.imap(_make_examples, blocks))
     examples = [DatasetExample(theta=theta, expectations=E)
-                for _, theta, E in results]
+                for block in results for _, theta, E in block]
     _, n_test = dataset_split(n_examples, test_fraction)
     manifest = {
         "format": "qugray-dataset",

@@ -61,28 +61,25 @@ def _softmax(x):
     return ex / ex.sum(axis=-1, keepdims=True)
 
 
-def _closed_propagator(config, theta):
-    """(PulseParams, U_0) for one flattened pulse vector."""
-    params = pulses.PulseParams.unflatten(np.asarray(theta, dtype=float),
-                                          config.dim, config.n_max)
-    return params, dynamics.propagate_closed(config, params)
+def _unflatten(config, theta):
+    return pulses.PulseParams.unflatten(np.asarray(theta, dtype=float),
+                                        config.dim, config.n_max)
 
 
-def _closed_states(config, kets, theta):
-    """(PulseParams, psi, sigma) for one flattened pulse vector: the evolved
-    states psi_s = U_0 q_s and sigma_s = psi_s psi_s^H."""
-    params, u0 = _closed_propagator(config, theta)
+def _states(kets, u0):
+    """The evolved states psi_s = U_0 q_s and sigma_s = psi_s psi_s^H."""
     psi = kets @ u0.T  # (S, d)
-    return params, psi, np.einsum("sa,sb->sab", psi, psi.conj())
+    return psi, np.einsum("sa,sb->sab", psi, psi.conj())
 
 
-def _state_pullback(config, params, kets, psi, g, W):
+def _state_pullback(config, tape, kets, psi, g, W):
     """dL/dtheta through U_0 alone, for predictions Re tr(W_o sigma_s) with
-    sigma_s = psi_s psi_s^H, psi_s = U_0 q_s, and g[s, o] = dL/d prediction.
+    sigma_s = psi_s psi_s^H, psi_s = U_0 q_s, and g[s, o] = dL/d prediction;
+    `tape` is U_0's closed_forward tape.
     With W_h the Hermitian part of W, G_U = sum_so g_so W_h,o psi_s q_s^H."""
     W_h = 0.5 * (W + W.conj().swapaxes(-1, -2))
     G_U = np.einsum("so,oab,sb,sc->ac", g, W_h, psi, kets.conj())
-    return dynamics.pullback_propagate_closed(config, params, G_U)
+    return dynamics.pullback_propagate_closed(config, tape, G_U)
 
 
 def _real_view(a):
@@ -210,7 +207,9 @@ class GrayboxModel:
 
     def state_stack(self, theta):
         """sigma_s = U0 |q_s><q_s| U0^H for one flattened pulse vector."""
-        return _closed_states(self.config, self._kets, theta)[2]
+        u0 = dynamics.propagate_closed(self.config,
+                                       _unflatten(self.config, theta))
+        return _states(self._kets, u0)[1]
 
     # -- blackbox forward --------------------------------------------------
 
@@ -362,12 +361,14 @@ class GrayboxModel:
         """Gate cost sum (E(theta) - targets)^2 for one pulse and its exact
         gradient in theta: through the blackbox (W) and through U_0 (sigma)."""
         theta = np.asarray(theta, dtype=float)
-        params, psi, sigma = _closed_states(self.config, self._kets, theta)
+        u0, tape = dynamics.closed_forward(self.config,
+                                           _unflatten(self.config, theta))
+        psi, sigma = _states(self._kets, u0)
         pred, caches = self.forward_batch(theta[None], sigma[None])
         resid = pred[0] - targets
         g = 2.0 * resid.reshape(-1, self.n_obs)
         _, g_theta = self._backward(caches, g[None])
-        grad = g_theta[0] + _state_pullback(self.config, params, self._kets,
+        grad = g_theta[0] + _state_pullback(self.config, tape, self._kets,
                                             psi, g, caches["heads"]["W"][0])
         return float(np.sum(resid ** 2)), grad
 
@@ -484,11 +485,13 @@ class GrayboxModel:
     # -- training ------------------------------------------------------------
 
     def precompute_states(self, thetas):
-        """sigma stacks for many pulses; U_0 has no weights so this runs once."""
-        sigmas = np.empty((len(thetas), self._kets.shape[0], self.d, self.d),
+        """sigma stacks for many pulses; U_0 has no weights so this runs once.
+        Row i is state_stack(thetas[i]), bit for bit."""
+        u0s = dynamics.propagate_closed_batch(self.config, thetas)
+        sigmas = np.empty((len(u0s), self._kets.shape[0], self.d, self.d),
                           dtype=complex)
-        for i, theta in enumerate(thetas):
-            sigmas[i] = self.state_stack(theta)
+        for i, u0 in enumerate(u0s):
+            sigmas[i] = _states(self._kets, u0)[1]
         return sigmas
 
     def train(self, examples, manifest, hyper=None, log_every=None):
@@ -661,15 +664,17 @@ class ExactClosedModel:
         self._kets = dynamics.initial_states(self.basis)
 
     def expectations(self, theta):
-        _, u0 = _closed_propagator(self.config, theta)
+        u0 = dynamics.propagate_closed(self.config,
+                                       _unflatten(self.config, theta))
         return dynamics.expectations_from_propagators(u0[None], self.basis)
 
     def cost_and_grad(self, theta, targets):
         """Gate cost and its exact gradient; here W = O, so only U_0 moves."""
-        params, u0 = _closed_propagator(self.config, theta)
+        u0, tape = dynamics.closed_forward(self.config,
+                                           _unflatten(self.config, theta))
         resid = dynamics.expectations_from_propagators(u0[None],
                                                        self.basis) - targets
-        grad = _state_pullback(self.config, params, self._kets,
+        grad = _state_pullback(self.config, tape, self._kets,
                                self._kets @ u0.T,
                                2.0 * resid.reshape(-1, self.n_obs),
                                np.stack(self.basis.elements))

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import dynamics, fileio, pulses
+from . import dynamics, fileio
 from .errors import DomainError, InvalidConfigError
 
 DEFAULT_GRID = np.linspace(-1.0, 1.0, 41)
@@ -104,12 +104,16 @@ def _sensitivity(vs):
 
 
 def gate_overlap_infidelity(config, theta, eps, gate_unitary):
-    """1 - |tr(U^H G)|^2 / d^2 at the scaled pulse, closed whitebox U."""
-    params = pulses.PulseParams.unflatten(eps * np.asarray(theta, dtype=float),
-                                          config.dim, config.n_max)
-    u = dynamics.propagate_closed(config, params)
-    d = config.dim
-    return 1.0 - abs(np.trace(u.conj().T @ gate_unitary)) ** 2 / d ** 2
+    """1 - |tr(U^H G)|^2 / d^2 at the scaled pulse eps * theta, closed
+    whitebox U. eps may be a 1-D array: the scaled pulses then propagate as
+    one batch and the result is an array; each entry equals the scalar-eps
+    value bit for bit."""
+    eps_arr = np.asarray(eps, dtype=float)
+    thetas = np.atleast_1d(eps_arr)[:, None] * np.asarray(theta, dtype=float)
+    u = dynamics.propagate_closed_batch(config, thetas)
+    overlaps = np.einsum("kab,ab->k", u.conj(), gate_unitary)
+    infid = 1.0 - np.abs(overlaps) ** 2 / config.dim ** 2
+    return infid if eps_arr.ndim else float(infid[0])
 
 
 def noise_sensitivity_N(model_or_expansions, eps, theta=None):
@@ -144,9 +148,9 @@ def control_cost_J(model_or_expansions, eps, theta, gate_unitary, config=None):
 def landscape(model, thetas, gate, grid=None, pulse_ids=None,
               fid_epsilon=None, k_eval=200, include_fidelity=True):
     """Sweep J and N over the grid for each pulse; true process fidelity is
-    evaluated at one designated eps per pulse (default: the grid argmin of J
-    across the whole ensemble, mirroring how the sweep singles out a
-    perturbation worth testing).
+    evaluated at one designated grid point per pulse: the one nearest
+    fid_epsilon, by default the grid argmin of J across the whole ensemble
+    (mirroring how the sweep singles out a perturbation worth testing).
 
     Returns a list of row dicts: pulse_id, epsilon, J, N, fidelity (NaN off
     the designated eps).
@@ -162,10 +166,8 @@ def landscape(model, thetas, gate, grid=None, pulse_ids=None,
     for pid, theta in zip(pulse_ids, thetas):
         vs = scan_epsilon(model, theta, grid=grid)
         n_vals = np.array([_sensitivity(v) for v in vs])
-        infids = np.array([gate_overlap_infidelity(model.config, theta, e,
-                                                   gate.unitary)
-                           for e in grid])
-        j_vals = n_vals + infids
+        j_vals = n_vals + gate_overlap_infidelity(model.config, theta, grid,
+                                                  gate.unitary)
         j_tables.append(j_vals)
         for e, j, n in zip(grid, j_vals, n_vals):
             rows.append({"pulse_id": pid, "epsilon": float(e),
@@ -174,11 +176,14 @@ def landscape(model, thetas, gate, grid=None, pulse_ids=None,
     if include_fidelity:
         if fid_epsilon is None:
             flat_best = int(np.argmin([tab.min() for tab in j_tables]))
-            fid_epsilon = float(grid[int(np.argmin(j_tables[flat_best]))])
-        eps_idx = int(np.argmin(np.abs(grid - fid_epsilon)))
-        for row_block, (pid, theta) in enumerate(zip(pulse_ids, thetas)):
+            eps_idx = int(np.argmin(j_tables[flat_best]))
+        else:
+            eps_idx = int(np.argmin(np.abs(grid - fid_epsilon)))
+        # one ensemble serves every pulse
+        real_set = control_mod.evaluation_ensemble(model.config, k_eval)
+        for row_block, theta in enumerate(thetas):
             fid = control_mod.evaluate_fidelity(
-                model.config, fid_epsilon * theta, gate, k_eval=k_eval)
+                model.config, grid[eps_idx] * theta, gate, real_set=real_set)
             rows[row_block * grid.size + eps_idx]["fidelity"] = float(fid)
     return rows
 

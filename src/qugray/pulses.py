@@ -9,6 +9,7 @@ All angular frequencies are rad/s. Configuration values quoted in Hz are
 converted (x 2 pi) at config-load time, never here.
 """
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -128,10 +129,38 @@ def _window(carrier, n_max):
                         / carrier.total_time)
 
 
-def envelope_grid(params, carrier):
-    """All envelopes on the carrier time grid, shape (M, d - 1, 2)."""
-    return np.einsum("kn,nic->kic", _window(carrier, params.n_max) / 2.0,
-                     params.amplitudes)
+@functools.lru_cache(maxsize=8)
+def _basis(carrier, n_max):
+    """The waveform of each unit pulse vector: shape (2 (d-1) n_max, M), rows
+    in the flattened layout. Row (i, c, n) is
+    Omega_i (1 - cos(2 pi n t / T)) / 2 times cos(w_Di t) (c = I) or
+    sin(w_Di t) (c = Q). Read-only: it is shared between calls."""
+    phases = np.outer(carrier.drive_freqs, carrier.times())
+    carriers = np.stack([np.cos(phases), np.sin(phases)], axis=1)
+    basis = (np.array(carrier.scales)[:, None, None, None]
+             * carriers[:, :, None, :]
+             * (_window(carrier, n_max).T / 2.0)[None, None])
+    basis = basis.reshape(-1, carrier.steps)
+    basis.flags.writeable = False
+    return basis
+
+
+def waveforms(thetas, carrier, n_max):
+    """Modulated drives of a (B, L) stack of flattened pulse vectors on the
+    left-endpoint grid, shape (B, M). Each row sums its L basis terms in
+    layout order, elementwise, so a row's waveform is the same bits whatever
+    else is in the stack."""
+    basis = _basis(carrier, n_max)
+    thetas = np.asarray(thetas, dtype=float)
+    if thetas.ndim != 2 or thetas.shape[1] != basis.shape[0]:
+        raise InvalidConfigError(
+            f"pulse stack must have shape (B, {basis.shape[0]}) for "
+            f"{len(carrier.scales)} transitions and n_max = {n_max}, got "
+            f"{thetas.shape}")
+    out = thetas[:, :1] * basis[0]
+    for term in range(1, basis.shape[0]):
+        out += thetas[:, term:term + 1] * basis[term]
+    return out
 
 
 def waveform(params, carrier):
@@ -140,21 +169,13 @@ def waveform(params, carrier):
     if params.dim - 1 != len(carrier.scales):
         raise InvalidConfigError(
             f"pulse has {params.dim - 1} transitions, carrier {len(carrier.scales)}")
-    env = envelope_grid(params, carrier)
-    t = carrier.times()
-    phases = np.outer(t, np.array(carrier.drive_freqs))
-    mixed = env[:, :, 0] * np.cos(phases) + env[:, :, 1] * np.sin(phases)
-    return mixed @ np.array(carrier.scales)
+    return waveforms(params.flatten()[None], carrier, params.n_max)[0]
 
 
 def waveform_transpose(g_wave, carrier, n_max):
     """Adjoint of the linear map theta -> waveform: dL/dtheta in the flattened
     layout from dL/df on the grid, shape (M,)."""
-    phases = np.outer(carrier.times(), np.array(carrier.drive_freqs))
-    mixed = np.stack([np.cos(phases), np.sin(phases)], axis=-1) \
-        * (np.asarray(g_wave)[:, None] * np.array(carrier.scales))[..., None]
-    amps = np.einsum("kn,kic->nic", _window(carrier, n_max) / 2.0, mixed)
-    return PulseParams(len(carrier.scales) + 1, amps).flatten()
+    return _basis(carrier, n_max) @ np.asarray(g_wave, dtype=float)
 
 
 def sample_random_params(d, n_max, a_max, seed):

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from conftest import STRONG_G3, make_config, random_density
-from qugray import dynamics, noiseop, pulses
+from qugray import dynamics, noisegen, noiseop, pulses
 from qugray.errors import DatasetIOError, InvalidConfigError, \
     InvertibilityError
 
@@ -256,6 +256,21 @@ class TestDataset:
         for a, b in zip(ex1, ex2):
             np.testing.assert_array_equal(a.theta, b.theta)
             np.testing.assert_array_equal(a.expectations, b.expectations)
+
+    def test_closed_dataset_worker_invariance(self, monkeypatch):
+        # 11 examples: one full propagation block and a partial one; the
+        # closed path never synthesizes noise
+        def no_noise(*args, **kwargs):
+            raise AssertionError("closed datasets need no noise ensemble")
+
+        monkeypatch.setattr(noisegen, "synthesize", no_noise)
+        cfg = make_config(d=3, steps=96, realizations=4)
+        ex1, man1 = dynamics.generate_dataset(cfg, 11, seed=2, workers=1)
+        ex2, man2 = dynamics.generate_dataset(cfg, 11, seed=2, workers=2)
+        assert man1 == man2
+        for a, b in zip(ex1, ex2):
+            assert a.theta.tobytes() == b.theta.tobytes()
+            assert a.expectations.tobytes() == b.expectations.tobytes()
 
     def test_zero_noise_dataset_matches_closed_propagation(self):
         cfg = make_config(d=2, steps=96, realizations=4)

@@ -392,6 +392,19 @@ class TestPredictExpectation:
             model.predict_expectation(np.zeros(40), np.eye(3), np.eye(3))
 
 
+class TestStateCache:
+    def test_precomputed_rows_match_single_pulses(self):
+        cfg = make_config(d=3, steps=160, realizations=4)
+        model = graybox.GrayboxModel(cfg, hidden=4, seed=0)
+        rng = np.random.default_rng(4)
+        # 11 pulses: one full block of propagations and a partial one
+        thetas = rng.uniform(-cfg.a_max(), cfg.a_max(), size=(11, 40))
+        thetas[6] *= 30.0  # far outside the box: more squarings
+        sigmas = model.precompute_states(thetas)
+        for theta, sigma in zip(thetas, sigmas):
+            assert np.array_equal(sigma, model.state_stack(theta))
+
+
 class TestExactClosedModel:
     def test_matches_direct_simulation(self, small_cfg):
         cfg = make_config(d=3, steps=160, realizations=4)

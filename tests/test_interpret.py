@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from conftest import make_config
-from qugray import control, dynamics, graybox, interpret, pulses
+from qugray import control, dynamics, graybox, interpret, noisegen, pulses
 from qugray.errors import DomainError
 
 
@@ -137,6 +137,58 @@ class TestLandscape:
         lines = path.read_text().splitlines()
         assert lines[0] == "pulse_id,epsilon,J,N,fidelity"
         assert len(lines) == 11
+
+    def test_infidelity_grid_matches_single_points(self, cfg):
+        theta = np.random.default_rng(2).uniform(-cfg.a_max(), cfg.a_max(),
+                                                 size=40)
+        G = control.parse_gate("X01", 3).unitary
+        grid = np.linspace(-1, 1, 11)
+        swept = interpret.gate_overlap_infidelity(cfg, theta, grid, G)
+        for e, value in zip(grid, swept):
+            assert value == interpret.gate_overlap_infidelity(cfg, theta, e,
+                                                              G)
+
+    def test_off_grid_fid_epsilon_lands_on_its_row(self, model, cfg):
+        # 0.33 is not on the grid: the fidelity is evaluated at the grid
+        # point of the row it is written to (0.35)
+        theta = np.random.default_rng(3).uniform(-cfg.a_max(), cfg.a_max(),
+                                                 size=40)
+        grid = np.linspace(-1, 1, 41)
+        rows = interpret.landscape(model, [theta], "X01", grid=grid,
+                                   fid_epsilon=0.33, k_eval=4)
+        (row,) = [r for r in rows if not np.isnan(r["fidelity"])]
+        assert row["epsilon"] == pytest.approx(0.35)
+        expected = control.evaluate_fidelity(cfg, row["epsilon"] * theta,
+                                             "X01", k_eval=4)
+        assert row["fidelity"] == expected
+
+    def test_one_evaluation_ensemble_for_all_pulses(self, model, cfg,
+                                                    monkeypatch):
+        rng = np.random.default_rng(4)
+        thetas = [rng.uniform(-cfg.a_max(), cfg.a_max(), size=40)
+                  for _ in range(3)]
+        grid = np.linspace(-1, 1, 5)
+        gate = control.parse_gate("X01", 3)
+        rows = interpret.landscape(model, thetas, gate, grid=grid,
+                                   fid_epsilon=0.5, k_eval=4)
+        # each pulse's fidelity as a per-pulse evaluation, with its own
+        # ensemble, would give it
+        for i, theta in enumerate(thetas):
+            fid = rows[i * grid.size + 3]["fidelity"]
+            assert fid == control.evaluate_fidelity(cfg, 0.5 * theta, gate,
+                                                    k_eval=4)
+        calls = []
+        synthesize = noisegen.synthesize
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return synthesize(*args, **kwargs)
+
+        monkeypatch.setattr(noisegen, "synthesize", counting)
+        again = interpret.landscape(model, thetas, gate, grid=grid,
+                                    fid_epsilon=0.5, k_eval=4)
+        assert len(calls) == 1
+        assert repr(again) == repr(rows)  # NaN-aware, bit-exact floats
 
     def test_epsilon_zero_rows_agree_within_residuals(self, model, cfg):
         # expansions of different pulses intersect at eps = 0

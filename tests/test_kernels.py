@@ -88,7 +88,9 @@ class TestPullback:
             # zero drift and drive: H_k = 0, every eigenvalue coincides
             drift, wave = np.zeros(d), np.zeros(6)
         G = np.random.default_rng(d).normal(size=(d, d, 2)) @ [1.0, 1j]
-        got = _prop_py.pullback_closed(drift, coupling, wave, 1e-2, G)
+        _, steps = propagate_piecewise(drift, coupling, wave, None, 1e-2,
+                                       return_steps=True)
+        got = _prop_py.pullback_closed(drift, coupling, wave, 1e-2, G, steps)
         ref = self.frechet_oracle(drift, coupling, wave, 1e-2, G)
         assert np.abs(got - ref).max() <= 1e-10 * np.abs(ref).max()
 
@@ -155,3 +157,57 @@ class TestCouplingValidation:
         as_complex = propagate_piecewise_batch(drift, coupling, wave, noise,
                                                1e-3)
         assert np.array_equal(as_real, as_complex)
+
+
+class TestRowInvariance:
+    """A row's propagator is the same bits alone and inside any stack or
+    chunk, including a row whose step norms need a higher Taylor degree and
+    more squarings than its neighbours'."""
+
+    @staticmethod
+    def record_orders(monkeypatch):
+        seen = []
+        original = _prop_py._cos_neg_sin
+
+        def recording(x, degree, squarings):
+            seen.append((degree, squarings))
+            return original(x, degree, squarings)
+
+        monkeypatch.setattr(_prop_py, "_cos_neg_sin", recording)
+        return seen
+
+    @pytest.mark.parametrize("d", [2, 3])
+    def test_closed_rows(self, d, monkeypatch):
+        drift, coupling, _, _ = problem(d=d, M=300)
+        rng = np.random.default_rng(d)
+        waves = rng.normal(size=(16, 300)) * 5.0
+        waves[5] *= 40.0
+        dt = 1e-3
+        alone = np.stack([propagate_piecewise(drift, coupling, w, None, dt)
+                          for w in waves])
+        for size in (1, 3, 8, 16):
+            for start in range(0, 16, size):
+                block = propagate_piecewise(drift, coupling,
+                                            waves[start:start + size], None,
+                                            dt)
+                assert np.array_equal(block, alone[start:start + size])
+        seen = self.record_orders(monkeypatch)
+        propagate_piecewise(drift, coupling, waves, None, dt)
+        assert len(set(seen)) > 1  # the x40 row crossed a threshold
+        oracle = sequential_oracle(drift, coupling, waves[5], None, dt)
+        assert np.abs(alone[5] - oracle).max() < 1e-11
+
+    @pytest.mark.parametrize("d", [2, 3])
+    def test_noisy_rows(self, d, monkeypatch):
+        drift, coupling, wave, noise = problem(d=d, M=300, K=11)
+        noise[4] *= 40.0
+        dt = 1e-3
+        alone = np.stack([propagate_piecewise(drift, coupling, wave, n, dt)
+                          for n in noise])
+        for chunk in (1, 3, 8, 11, 32):
+            got = propagate_piecewise_batch(drift, coupling, wave, noise, dt,
+                                            chunk=chunk)
+            assert np.array_equal(got, alone)
+        seen = self.record_orders(monkeypatch)
+        propagate_piecewise_batch(drift, coupling, wave, noise, dt)
+        assert len(set(seen)) > 1

@@ -110,6 +110,19 @@ class TestWaveform:
         rhs = params.flatten() @ pulses.waveform_transpose(g, carrier, 5)
         assert lhs == pytest.approx(rhs, rel=1e-12)
 
+    def test_stack_rows_match_single_waveforms(self):
+        carrier = self.carrier(steps=300)
+        thetas = np.stack([
+            pulses.sample_random_params(3, 5, 1.0, seed=s).flatten()
+            for s in range(11)])
+        single = np.stack([
+            pulses.waveform(pulses.PulseParams.unflatten(t, 3, 5), carrier)
+            for t in thetas])
+        for size in (1, 3, 8, 11):
+            for start in range(0, 11, size):
+                got = pulses.waveforms(thetas[start:start + size], carrier, 5)
+                assert np.array_equal(got, single[start:start + size])
+
     def test_dimension_mismatch(self):
         params = pulses.PulseParams(2, np.zeros((3, 1, 2)))
         with pytest.raises(InvalidConfigError):

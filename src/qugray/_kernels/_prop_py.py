@@ -241,7 +241,7 @@ def _propagate(drift_diag, coupling, waves, noise_diags, dt,
     out = _chain(u) * np.exp(-1j * phase)[:, None, None]
     if not return_steps:
         return out
-    # row 0's full step unitaries exp(-i dt H_k), (M, d, d)
+    # the one row's full step unitaries exp(-i dt H_k), (M, d, d)
     steps = np.array([[e[0] for e in row] for row in u]).transpose(2, 0, 1)
     return out, steps * np.exp(-1j * dt * mu[0])[:, None, None]
 
@@ -254,19 +254,22 @@ def propagate_piecewise(drift_diag, coupling, wave, noise_diag, dt,
     with zero imaginary part accepted), wave: (M,) float, or (B, M) for B
     pulses propagated as rows of one call, noise_diag: (M, d) float or None.
     Returns (d, d), or (B, d, d) for a (B, M) wave; each row equals its
-    single-wave result bit for bit. With return_steps, also the step
-    unitaries exp(-i dt H_k) of the (first) trajectory, shape (M, d, d), for
-    `pullback_closed`.
+    single-wave result bit for bit. With return_steps (a 1-D wave only),
+    also the trajectory's step unitaries exp(-i dt H_k), shape (M, d, d),
+    for `pullback_closed`.
     """
     drift_diag = np.asarray(drift_diag, dtype=float)
     wave = np.asarray(wave, dtype=float)
+    if return_steps and wave.ndim != 1:
+        raise ValueError("return_steps needs a single (M,) wave, got shape "
+                         f"{wave.shape}")
     noise = None if noise_diag is None else \
         np.asarray(noise_diag, dtype=float)[None]
     out = _propagate(drift_diag, _real_coupling(coupling), wave, noise, dt,
                      return_steps)
-    if wave.ndim == 2:
-        return out
-    return (out[0][0], out[1]) if return_steps else out[0]
+    if return_steps:
+        return out[0][0], out[1]
+    return out if wave.ndim == 2 else out[0]
 
 
 def _prefix_products(steps):

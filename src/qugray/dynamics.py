@@ -177,29 +177,30 @@ def propagate_closed_batch(config, thetas):
     return out
 
 
-def propagate_closed(config, params):
-    """U_0(T): noise term omitted; chronological product, k = 0 applied first.
-    A one-row `propagate_closed_batch`."""
-    return propagate_closed_batch(config, params.flatten()[None])[0]
-
-
 def closed_forward(config, params):
-    """(U_0, tape): the propagate_closed propagator, and the waveform and step
-    unitaries that pullback_propagate_closed needs from this forward pass."""
+    """(U_0, tape): the closed propagator of one pulse, and what
+    pullback_propagate_closed needs from this forward pass (the waveform,
+    the step unitaries and the pulse's n_max). U_0 is the same bits as the
+    pulse's row of `propagate_closed_batch`: both run one kernel row."""
     wave = pulses.waveform(params, config.carrier)
     u0, steps = propagate_piecewise(np.array(config.omega), config.coupling,
                                     wave, None, config.carrier.dt,
                                     return_steps=True)
-    return u0, (wave, steps)
+    return u0, (wave, steps, params.n_max)
+
+
+def propagate_closed(config, params):
+    """U_0(T): noise term omitted; chronological product, k = 0 applied first."""
+    return closed_forward(config, params)[0]
 
 
 def pullback_propagate_closed(config, tape, g_u):
     """dL/dtheta (flattened pulse layout) for a real function L of U_0, given
     the tape of its closed_forward pass and G = dL/d conj(U_0)."""
-    wave, steps = tape
+    wave, steps, n_max = tape
     g_wave = pullback_closed(np.array(config.omega), config.coupling, wave,
                              config.carrier.dt, g_u, steps=steps)
-    return pulses.waveform_transpose(g_wave, config.carrier, config.n_max)
+    return pulses.waveform_transpose(g_wave, config.carrier, n_max)
 
 
 def _noise_diag(config, real_set, r):

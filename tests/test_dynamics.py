@@ -93,6 +93,40 @@ class TestPropagation:
         noisy = dynamics.propagate_noisy(cfg, random_params3, real_set, 1)
         np.testing.assert_array_equal(noisy, closed)
 
+    def test_wrong_dimension_pulse_rejected_closed_and_noisy(self):
+        # d = 2 with n_max = 20 flattens to the same length as d = 3 with
+        # n_max = 10; the closed path must not read it in the d = 3 layout
+        cfg = make_config(d=3, g=STRONG_G3, realizations=2)
+        assert cfg.n_max == 10
+        qubit = pulses.sample_random_params(2, 20, cfg.a_max(), 1)
+        real_set = dynamics.synthesize_noise(cfg)
+        for propagate in (
+                lambda: dynamics.propagate_closed(cfg, qubit),
+                lambda: dynamics.closed_forward(cfg, qubit),
+                lambda: dynamics.propagate_noisy(cfg, qubit, real_set, 0),
+                lambda: dynamics.propagate_ensemble(cfg, qubit, real_set)):
+            with pytest.raises(InvalidConfigError, match="transitions"):
+                propagate()
+
+    def test_pulse_n_max_other_than_config(self, closed3):
+        # a pulse with fewer harmonics is its zero-padded config-size pulse
+        short = pulses.sample_random_params(3, 4, closed3.a_max(), 2)
+        padded = pulses.PulseParams(3, np.concatenate(
+            [short.amplitudes, np.zeros((closed3.n_max - 4, 2, 2))]))
+        u, tape = dynamics.closed_forward(closed3, short)
+        np.testing.assert_allclose(
+            u, dynamics.propagate_closed(closed3, padded), rtol=0, atol=1e-13)
+        g_u = np.random.default_rng(0).normal(size=(3, 3))
+        grad = dynamics.pullback_propagate_closed(closed3, tape, g_u)
+        _, padded_tape = dynamics.closed_forward(closed3, padded)
+        padded_grad = pulses.PulseParams.unflatten(
+            dynamics.pullback_propagate_closed(closed3, padded_tape, g_u),
+            3, closed3.n_max)
+        assert grad.shape == (2 * 2 * 4,)
+        np.testing.assert_allclose(
+            grad, padded_grad.amplitudes[:4].transpose(1, 2, 0).reshape(-1),
+            rtol=1e-12, atol=1e-12 * np.abs(grad).max())
+
     def test_pure_dephasing_stays_diagonal(self, noisy3):
         zero = pulses.PulseParams(3, np.zeros((noisy3.n_max, 2, 2)))
         real_set = dynamics.synthesize_noise(noisy3)

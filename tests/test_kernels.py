@@ -94,6 +94,16 @@ class TestPullback:
         ref = self.frechet_oracle(drift, coupling, wave, 1e-2, G)
         assert np.abs(got - ref).max() <= 1e-10 * np.abs(ref).max()
 
+    def test_steps_need_a_single_wave(self):
+        drift, coupling, wave, _ = problem(d=3, M=6)
+        u, _ = propagate_piecewise(drift, coupling, wave, None, 1e-2,
+                                   return_steps=True)
+        np.testing.assert_array_equal(
+            u, propagate_piecewise(drift, coupling, wave, None, 1e-2))
+        with pytest.raises(ValueError, match="single"):
+            propagate_piecewise(drift, coupling, np.stack([wave, wave]), None,
+                                1e-2, return_steps=True)
+
 
 class TestStepExponential:
     """Single steps against scipy.linalg.expm across step norms

@@ -1,7 +1,7 @@
 """Propagation kernel: one numpy implementation (see `_prop_py`)."""
 
 from ._prop_py import propagate_piecewise, propagate_piecewise_batch, \
-    pullback_closed
+    pullback_closed, rows_per_call
 
 
 def backend():

@@ -37,10 +37,13 @@ def _default_workers():
 def _parse_grid(spec):
     try:
         lo, hi, num = spec.split(":")
-        return np.linspace(float(lo), float(hi), int(num))
+        lo, hi, num = float(lo), float(hi), int(num)
     except ValueError as exc:
         raise InvalidConfigError(f"bad grid spec {spec!r}, want lo:hi:count") \
             from exc
+    if num < 1:
+        raise InvalidConfigError(f"grid spec {spec!r} needs a count >= 1")
+    return np.linspace(lo, hi, num)
 
 
 def _parse_pulse_spec(spec):

@@ -20,16 +20,12 @@ import numpy as np
 
 from . import fileio, noisegen, pulses, streams
 from ._kernels import propagate_piecewise, propagate_piecewise_batch, \
-    pullback_closed
+    pullback_closed, rows_per_call
 from .algebra import gell_mann_basis
 from .errors import DatasetIOError, InvalidConfigError, InvertibilityError, \
     QugrayError
 
 DATASET_ORDERING_VERSION = 2
-# pulses per closed-propagation kernel call, and examples per dataset work
-# unit: bounds the waveform and step-unitary stacks (a full-scale dataset's
-# waveforms alone would take ~1 GB)
-CLOSED_BLOCK = 8
 # default split ratio: 8192 train / 1840 test at the full 10032-example scale
 DEFAULT_TEST_FRACTION = 1840.0 / 10032.0
 
@@ -162,18 +158,19 @@ def synthesize_noise(config, seed=None):
 def propagate_closed_batch(config, thetas):
     """U_0(T) for a (B, L) stack of flattened pulse vectors -> (B, d, d).
 
-    The pulses run as rows of one kernel call per block of CLOSED_BLOCK, so
-    the waveform and step-unitary stacks stay bounded whatever B is. A row's
+    The pulses run as rows of kernel calls of `rows_per_call` rows, so the
+    waveform and step-unitary stacks stay bounded whatever B is. A row's
     propagator is the same bits whatever else is in the stack.
     """
     thetas = np.asarray(thetas, dtype=float)
     omega = np.array(config.omega)
     out = np.empty((len(thetas), config.dim, config.dim), dtype=complex)
-    for start in range(0, len(thetas), CLOSED_BLOCK):
-        block = thetas[start:start + CLOSED_BLOCK]
+    rows = rows_per_call(config.carrier.steps, config.dim)
+    for start in range(0, len(thetas), rows):
+        block = thetas[start:start + rows]
         waves = pulses.waveforms(block, config.carrier, config.n_max)
         out[start:start + len(block)] = propagate_piecewise(
-            omega, config.coupling, waves, None, config.carrier.dt)
+            omega, config.coupling, waves, config.carrier.dt)
     return out
 
 
@@ -184,7 +181,7 @@ def closed_forward(config, params):
     pulse's row of `propagate_closed_batch`: both run one kernel row."""
     wave = pulses.waveform(params, config.carrier)
     u0, steps = propagate_piecewise(np.array(config.omega), config.coupling,
-                                    wave, None, config.carrier.dt,
+                                    wave, config.carrier.dt,
                                     return_steps=True)
     return u0, (wave, steps, params.n_max)
 
@@ -203,28 +200,23 @@ def pullback_propagate_closed(config, tape, g_u):
     return pulses.waveform_transpose(g_wave, config.carrier, n_max)
 
 
-def _noise_diag(config, real_set, r):
-    # samples[channel, r, step] -> (M, d) scaled by per-level coupling
-    return real_set.samples[:, r, :].T * np.array(config.g)
-
-
-def propagate_noisy(config, params, real_set, r):
-    """U(T) over realization r of an ensemble."""
-    if not 0 <= r < real_set.realizations:
-        raise InvalidConfigError(f"realization {r} not in ensemble of "
-                                 f"{real_set.realizations}")
-    wave = pulses.waveform(params, config.carrier)
-    return propagate_piecewise(np.array(config.omega), config.coupling, wave,
-                               _noise_diag(config, real_set, r),
-                               config.carrier.dt)
-
-
 def propagate_ensemble(config, params, real_set):
-    """All K noisy propagators, shape (K, d, d)."""
+    """All K noisy propagators, shape (K, d, d).
+
+    The realizations run as rows of kernel calls of `rows_per_call` rows.
+    Each call's (rows, M, d) noise is built from the ensemble's
+    samples[channel, realization, step], so no (K, M, d) copy is made.
+    """
     wave = pulses.waveform(params, config.carrier)
-    noise = real_set.samples.transpose(1, 2, 0) * np.array(config.g)
-    return propagate_piecewise_batch(np.array(config.omega), config.coupling,
-                                     wave, noise, config.carrier.dt)
+    omega, g = np.array(config.omega), np.array(config.g)
+    out = np.empty((real_set.realizations, config.dim, config.dim),
+                   dtype=complex)
+    rows = rows_per_call(config.carrier.steps, config.dim)
+    for start in range(0, real_set.realizations, rows):
+        noise = real_set.samples[:, start:start + rows].transpose(1, 2, 0) * g
+        out[start:start + len(noise)] = propagate_piecewise_batch(
+            omega, config.coupling, wave, noise, config.carrier.dt)
+    return out
 
 
 def initial_states(basis):
@@ -315,12 +307,16 @@ class DatasetExample:
 _WORKER_STATE = {}
 
 
-def _init_worker(config_dict, real_set, a_max):
+def _init_worker(config_dict):
+    """Everything a dataset task needs, from the config dict alone: a noisy
+    config's ensemble is synthesized here, the same bits in every process
+    because its streams are counter-based."""
     cfg = SystemConfig.from_dict(config_dict)
     _WORKER_STATE["config"] = cfg
     _WORKER_STATE["basis"] = cfg.observable_basis()
-    _WORKER_STATE["real_set"] = real_set
-    _WORKER_STATE["a_max"] = a_max
+    _WORKER_STATE["real_set"] = None if cfg.closed else \
+        noisegen.synthesize(cfg.noise, seed=cfg.seed)
+    _WORKER_STATE["a_max"] = cfg.a_max()
 
 
 def _make_examples(indices):
@@ -349,24 +345,28 @@ def _sample_example_params(config, a_max, seed, index):
 def generate_dataset(config, n_examples, seed=None, workers=1,
                      test_fraction=DEFAULT_TEST_FRACTION):
     """Sample pulse/expectation pairs; one noise ensemble is synthesized per
-    noisy dataset and reused across examples (closed configs need none).
-    Deterministic for fixed (config, seed) regardless of worker count.
+    noisy dataset and process, and reused across examples (closed configs
+    need none). A task is one kernel call's worth of closed examples, or one
+    noisy example. Deterministic for fixed (config, seed) regardless of
+    worker count.
     """
     if n_examples < 1:
         raise InvalidConfigError("need at least one example")
     seed = config.seed if seed is None else seed
-    real_set = None if config.closed else \
-        noisegen.synthesize(config.noise, seed=seed)
     cfg_dict = dict(config.to_dict(), seed=seed)
-    init_args = (cfg_dict, real_set, config.a_max())
-    blocks = [range(start, min(start + CLOSED_BLOCK, n_examples))
-              for start in range(0, n_examples, CLOSED_BLOCK)]
+    size = rows_per_call(config.carrier.steps, config.dim) \
+        if config.closed else 1
+    blocks = [range(start, min(start + size, n_examples))
+              for start in range(0, n_examples, size)]
     if workers <= 1:
-        _init_worker(*init_args)
-        results = [_make_examples(b) for b in blocks]
+        _init_worker(cfg_dict)
+        try:
+            results = [_make_examples(b) for b in blocks]
+        finally:
+            _WORKER_STATE.clear()
     else:
         with multiprocessing.Pool(workers, initializer=_init_worker,
-                                  initargs=init_args) as pool:
+                                  initargs=(cfg_dict,)) as pool:
             results = list(pool.imap(_make_examples, blocks))
     examples = [DatasetExample(theta=theta, expectations=E)
                 for block in results for _, theta, E in block]

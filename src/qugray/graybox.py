@@ -108,6 +108,11 @@ class TrainingHyper:
     abort_factor: float = 10.0
     abort_patience: int = 50
 
+    def __post_init__(self):
+        if self.iterations < 1 or self.batch_size < 1:
+            raise InvalidConfigError("training needs iterations >= 1 and "
+                                     "batch_size >= 1")
+
 
 @dataclass
 class TrainingRecord:

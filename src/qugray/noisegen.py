@@ -12,15 +12,12 @@ Streams are counter-based (Philox) keyed by (seed, channel, realization), so
 generation order and worker count never change the samples.
 """
 
-import struct
 from dataclasses import dataclass
 
 import numpy as np
 
-from . import fileio, streams
-from .errors import DatasetIOError, InvalidConfigError
-
-_DUMP_MAGIC = b"QGNOISE1"
+from . import streams
+from .errors import InvalidConfigError
 
 
 @dataclass(frozen=True)
@@ -73,10 +70,9 @@ class NoiseSpec:
 
 @dataclass(frozen=True)
 class NoiseRealizationSet:
-    """samples[channel, realization, step]; seed reproduces the set."""
+    """samples[channel, realization, step] over total_time seconds."""
 
     samples: np.ndarray
-    seed: int
     total_time: float
 
     @property
@@ -105,8 +101,7 @@ def synthesize(spec, seed):
     amp[-1] = M * np.sqrt(target[-1] * df)
     samples = np.zeros((spec.channels, spec.realizations, M))
     if spec.alpha1 == 0 and spec.alpha2 == 0:
-        return NoiseRealizationSet(samples=samples, seed=seed,
-                                   total_time=spec.total_time)
+        return NoiseRealizationSet(samples=samples, total_time=spec.total_time)
     for ch in range(spec.channels):
         for r in range(spec.realizations):
             rng = streams.noise_generator(seed, ch, r)
@@ -115,14 +110,13 @@ def synthesize(spec, seed):
             spectrum[1:half] = amp[:-1] * (z[0:half - 1] + 1j * z[half - 1:2 * half - 2])
             spectrum[half] = amp[-1] * z[-1]  # Nyquist coefficient is real
             samples[ch, r] = np.fft.irfft(spectrum, n=M)
-    return NoiseRealizationSet(samples=samples, seed=seed,
-                               total_time=spec.total_time)
+    return NoiseRealizationSet(samples=samples, total_time=spec.total_time)
 
 
-def empirical_psd(real_set, total_time=None):
+def empirical_psd(real_set):
     """Averaged periodogram, normalized so its expectation equals the
     synthesis target. Returns (frequencies, power[channel, bin])."""
-    T = total_time if total_time is not None else real_set.total_time
+    T = real_set.total_time
     M = real_set.steps
     half = M // 2
     freqs = np.arange(1, half + 1) / T
@@ -137,30 +131,3 @@ def empirical_psd(real_set, total_time=None):
         power[ch] = periodogram.mean(axis=0)
     return freqs, power
 
-
-def dump_realizations(real_set, path):
-    """Binary dump: magic, version, channels, K, M (uint32 LE), T (float64 LE),
-    then float64 LE samples in channel-major order."""
-    with fileio.atomic_write(path, "wb") as fh:
-        fh.write(_DUMP_MAGIC)
-        fh.write(struct.pack("<III", real_set.channels,
-                             real_set.realizations, real_set.steps))
-        fh.write(struct.pack("<d", real_set.total_time))
-        fh.write(np.ascontiguousarray(real_set.samples, dtype="<f8").tobytes())
-
-
-def load_realizations(path, seed=-1):
-    try:
-        with open(path, "rb") as fh:
-            magic = fh.read(8)
-            if magic != _DUMP_MAGIC:
-                raise DatasetIOError(f"{path}: not a noise dump (bad magic)")
-            channels, K, M = struct.unpack("<III", fh.read(12))
-            (T,) = struct.unpack("<d", fh.read(8))
-            payload = np.frombuffer(fh.read(), dtype="<f8")
-    except OSError as exc:
-        raise DatasetIOError(f"cannot read noise dump: {exc}") from exc
-    if payload.size != channels * K * M:
-        raise DatasetIOError(f"{path}: truncated noise dump")
-    samples = payload.reshape(channels, K, M).astype(float)
-    return NoiseRealizationSet(samples=samples, seed=seed, total_time=T)

@@ -7,7 +7,7 @@ import os
 import numpy as np
 import pytest
 
-from qugray import cli, fileio, interpret, noisegen
+from qugray import cli, fileio, interpret
 from qugray.errors import DatasetIOError
 
 TINY_CFG = """
@@ -103,6 +103,17 @@ class TestTrain:
         rc = cli.main(["train", "--dataset", str(tmp_path / "nope.jsonl"),
                        "--out", str(tmp_path / "m.qgm"), "--iters", "1"])
         assert rc == 3
+
+    @pytest.mark.parametrize("flag, value", [("--iters", "0"),
+                                             ("--iters", "-3"),
+                                             ("--batch", "0")])
+    def test_count_below_one_exits_2_before_writing(self, tmp_path,
+                                                    tiny_dataset, flag,
+                                                    value):
+        rc = cli.main(["train", "--dataset", tiny_dataset, "--out",
+                       str(tmp_path / "m.qgm"), flag, value])
+        assert rc == 2
+        assert os.listdir(tmp_path) == []
 
 
 class TestOptimize:
@@ -212,6 +223,14 @@ class TestGridParsing:
                        "--out", str(tmp_path / "x.csv")])
         assert rc == 2
 
+    def test_zero_grid_count_exits_2(self, tmp_path, tiny_model,
+                                     tiny_dataset):
+        rc = cli.main(["landscape", "--model", tiny_model, "--pulses",
+                       tiny_dataset, "--gate", "X", "--grid", "0:1:0",
+                       "--out", str(tmp_path / "x.csv")])
+        assert rc == 2
+        assert os.listdir(tmp_path) == []
+
 
 def _exit_code(write):
     """Run a library writer as the CLI would: DatasetIOError is exit 3."""
@@ -239,11 +258,6 @@ WRITERS = {
         lambda: interpret.rows_to_csv([{"pulse_id": v, "epsilon": 0.0,
                                         "J": 1.0, "N": 0.5,
                                         "fidelity": 0.9}], path))),
-    "noise-dump": ("noise.bin", lambda ctx, path, v: _exit_code(
-        lambda: noisegen.dump_realizations(noisegen.synthesize(
-            noisegen.NoiseSpec(alpha1=1.0, alpha2=1.0, channels=2,
-                               realizations=2, steps=16, total_time=1.0),
-            seed=v), path))),
 }
 
 

@@ -1,4 +1,5 @@
 import json
+import multiprocessing
 import os
 
 import numpy as np
@@ -6,6 +7,7 @@ import pytest
 
 from conftest import STRONG_G3, make_config, random_density
 from qugray import dynamics, noisegen, noiseop, pulses
+from qugray._kernels import _prop_py, rows_per_call
 from qugray.errors import DatasetIOError, InvalidConfigError, \
     InvertibilityError
 
@@ -90,8 +92,9 @@ class TestPropagation:
         cfg = make_config(d=3, g=(0.0, 0.0, 0.0), realizations=3)
         real_set = dynamics.synthesize_noise(cfg)
         closed = dynamics.propagate_closed(cfg, random_params3)
-        noisy = dynamics.propagate_noisy(cfg, random_params3, real_set, 1)
-        np.testing.assert_array_equal(noisy, closed)
+        noisy = dynamics.propagate_ensemble(cfg, random_params3, real_set)
+        for u in noisy:
+            np.testing.assert_array_equal(u, closed)
 
     def test_wrong_dimension_pulse_rejected_closed_and_noisy(self):
         # d = 2 with n_max = 20 flattens to the same length as d = 3 with
@@ -103,7 +106,6 @@ class TestPropagation:
         for propagate in (
                 lambda: dynamics.propagate_closed(cfg, qubit),
                 lambda: dynamics.closed_forward(cfg, qubit),
-                lambda: dynamics.propagate_noisy(cfg, qubit, real_set, 0),
                 lambda: dynamics.propagate_ensemble(cfg, qubit, real_set)):
             with pytest.raises(InvalidConfigError, match="transitions"):
                 propagate()
@@ -130,20 +132,14 @@ class TestPropagation:
     def test_pure_dephasing_stays_diagonal(self, noisy3):
         zero = pulses.PulseParams(3, np.zeros((noisy3.n_max, 2, 2)))
         real_set = dynamics.synthesize_noise(noisy3)
-        U = dynamics.propagate_noisy(noisy3, zero, real_set, 0)
+        U = dynamics.propagate_ensemble(noisy3, zero, real_set)[0]
         np.testing.assert_allclose(np.abs(np.diag(U)), np.ones(3), atol=1e-11)
         assert np.abs(U - np.diag(np.diag(U))).max() < 1e-11
 
     def test_noisy_unitarity(self, noisy3, noisy3_realizations, random_params3):
-        U = dynamics.propagate_noisy(noisy3, random_params3,
-                                     noisy3_realizations, 2)
+        U = dynamics.propagate_ensemble(noisy3, random_params3,
+                                        noisy3_realizations)[2]
         assert np.linalg.norm(U.conj().T @ U - np.eye(3)) < 1e-9
-
-    def test_missing_realization(self, noisy3, noisy3_realizations,
-                                 random_params3):
-        with pytest.raises(InvalidConfigError):
-            dynamics.propagate_noisy(noisy3, random_params3,
-                                     noisy3_realizations, 999)
 
 
 class TestExpectations:
@@ -386,6 +382,81 @@ class TestDataset:
         assert dynamics.dataset_split(10032) == (8192, 1840)
         n_train, n_test = dynamics.dataset_split(1024)
         assert n_train + n_test == 1024 and n_test == 188
+
+    def test_serial_dataset_releases_worker_state(self):
+        # the ensemble (954 MB at full scale) must not outlive the call
+        cfg = make_config(d=2, steps=96, realizations=6, g=(0.0, 16.0))
+        dynamics.generate_dataset(cfg, 2, seed=3, workers=1)
+        assert dynamics._WORKER_STATE == {}
+
+    def test_workers_receive_only_the_config(self, monkeypatch):
+        # each worker synthesizes the ensemble itself; none is pickled
+        initargs = []
+        real_pool = multiprocessing.Pool
+
+        def pool(*args, **kwargs):
+            initargs.append(kwargs["initargs"])
+            return real_pool(*args, **kwargs)
+
+        monkeypatch.setattr(multiprocessing, "Pool", pool)
+        cfg = make_config(d=2, steps=96, realizations=6, g=(0.0, 16.0))
+        dynamics.generate_dataset(cfg, 2, seed=3, workers=2)
+        assert [[type(a) for a in args] for args in initargs] == [[dict]]
+
+
+class TestRowsPerCall:
+    """Rows per kernel call follow from the grid, and no budget changes a
+    bit: 1 row per call, 3 rows (11 = 3 + 3 + 3 + 2), 4 rows and all rows
+    in one call."""
+
+    ROWS = (1, 3, 4, None)
+
+    @staticmethod
+    def with_rows(monkeypatch, cfg, rows):
+        entries = cfg.carrier.steps * cfg.dim ** 2
+        monkeypatch.setattr(_prop_py, "_CALL_ENTRIES",
+                            10 ** 9 if rows is None else rows * entries)
+
+    def test_rule(self):
+        # desk (1000 steps) and full-scale (13 250 steps) qutrit and qubit
+        assert [rows_per_call(1000, 3), rows_per_call(1000, 2),
+                rows_per_call(13250, 3), rows_per_call(13250, 2)] == \
+            [16, 36, 1, 2]
+        assert rows_per_call(10 ** 6, 4) == 1
+
+    def test_ensemble_and_closed_batch(self, monkeypatch, random_params3):
+        cfg = make_config(d=3, steps=96, realizations=11, g=STRONG_G3)
+        real_set = dynamics.synthesize_noise(cfg)
+        thetas = np.stack([pulses.sample_random_params(
+            3, cfg.n_max, cfg.a_max(), seed).flatten() for seed in range(11)])
+        want_noisy = dynamics.propagate_ensemble(cfg, random_params3,
+                                                 real_set).tobytes()
+        want_closed = dynamics.propagate_closed_batch(cfg, thetas).tobytes()
+        for rows in self.ROWS:
+            self.with_rows(monkeypatch, cfg, rows)
+            assert dynamics.propagate_ensemble(
+                cfg, random_params3, real_set).tobytes() == want_noisy
+            assert dynamics.propagate_closed_batch(
+                cfg, thetas).tobytes() == want_closed
+
+    @pytest.mark.parametrize("g", [None, STRONG_G3], ids=["closed", "noisy"])
+    def test_dataset(self, monkeypatch, g):
+        cfg = make_config(d=3, steps=96, realizations=11, g=g)
+        n = 11 if cfg.closed else 3
+
+        def blob(workers):
+            examples, manifest = dynamics.generate_dataset(
+                cfg, n, seed=4, workers=workers)
+            return [(ex.theta.tobytes(), ex.expectations.tobytes())
+                    for ex in examples], manifest
+
+        want = blob(1)
+        for rows in self.ROWS:
+            self.with_rows(monkeypatch, cfg, rows)
+            assert blob(1) == want
+        # the workers are forked, so they see the patched budget
+        self.with_rows(monkeypatch, cfg, 3)
+        assert blob(2) == want
 
 
 class TestConfigValidation:

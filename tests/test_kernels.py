@@ -38,7 +38,7 @@ class TestAgainstSequentialOracle:
         drift, coupling, wave, _ = problem(d=d, M=M)
         dt = 1e-3
         oracle = sequential_oracle(drift, coupling, wave, None, dt)
-        got = propagate_piecewise(drift, coupling, wave, None, dt)
+        got = propagate_piecewise(drift, coupling, wave, dt)
         assert np.abs(got - oracle).max() < 1e-11
 
     def test_noisy_batch(self):
@@ -53,8 +53,7 @@ class TestAgainstSequentialOracle:
         # long enough for the elementwise tree levels, with odd level lengths
         drift, coupling, wave, noise = problem(M=333, K=5)
         dt = 2e-3
-        got = propagate_piecewise_batch(drift, coupling, wave, noise, dt,
-                                        chunk=3)
+        got = propagate_piecewise_batch(drift, coupling, wave, noise, dt)
         for r in range(noise.shape[0]):
             oracle = sequential_oracle(drift, coupling, wave, noise[r], dt)
             assert np.abs(got[r] - oracle).max() < 1e-11
@@ -88,7 +87,7 @@ class TestPullback:
             # zero drift and drive: H_k = 0, every eigenvalue coincides
             drift, wave = np.zeros(d), np.zeros(6)
         G = np.random.default_rng(d).normal(size=(d, d, 2)) @ [1.0, 1j]
-        _, steps = propagate_piecewise(drift, coupling, wave, None, 1e-2,
+        _, steps = propagate_piecewise(drift, coupling, wave, 1e-2,
                                        return_steps=True)
         got = _prop_py.pullback_closed(drift, coupling, wave, 1e-2, G, steps)
         ref = self.frechet_oracle(drift, coupling, wave, 1e-2, G)
@@ -96,13 +95,13 @@ class TestPullback:
 
     def test_steps_need_a_single_wave(self):
         drift, coupling, wave, _ = problem(d=3, M=6)
-        u, _ = propagate_piecewise(drift, coupling, wave, None, 1e-2,
+        u, _ = propagate_piecewise(drift, coupling, wave, 1e-2,
                                    return_steps=True)
         np.testing.assert_array_equal(
-            u, propagate_piecewise(drift, coupling, wave, None, 1e-2))
+            u, propagate_piecewise(drift, coupling, wave, 1e-2))
         with pytest.raises(ValueError, match="single"):
-            propagate_piecewise(drift, coupling, np.stack([wave, wave]), None,
-                                1e-2, return_steps=True)
+            propagate_piecewise(drift, coupling, np.stack([wave, wave]), 1e-2,
+                                return_steps=True)
 
 
 class TestStepExponential:
@@ -146,7 +145,7 @@ class TestBackendAgreement:
         # the numpy module is the kernel the package exports
         assert propagate_piecewise is _prop_py.propagate_piecewise
         drift, coupling, wave, _ = problem(M=8)
-        u = _prop_py.propagate_piecewise(drift, coupling, wave, None, 1e-3)
+        u = _prop_py.propagate_piecewise(drift, coupling, wave, 1e-3)
         assert u.shape == (3, 3)
 
 
@@ -155,7 +154,7 @@ class TestCouplingValidation:
         drift, coupling, wave, noise = problem(M=4, K=2)
         bad = coupling + 1e-3j * np.eye(3)
         with pytest.raises(ValueError):
-            propagate_piecewise(drift, bad, wave, None, 1e-3)
+            propagate_piecewise(drift, bad, wave, 1e-3)
         with pytest.raises(ValueError):
             propagate_piecewise_batch(drift, bad, wave, noise, 1e-3)
 
@@ -170,8 +169,8 @@ class TestCouplingValidation:
 
 
 class TestRowInvariance:
-    """A row's propagator is the same bits alone and inside any stack or
-    chunk, including a row whose step norms need a higher Taylor degree and
+    """A row's propagator is the same bits alone and inside any stack,
+    including a row whose step norms need a higher Taylor degree and
     more squarings than its neighbours'."""
 
     @staticmethod
@@ -193,16 +192,15 @@ class TestRowInvariance:
         waves = rng.normal(size=(16, 300)) * 5.0
         waves[5] *= 40.0
         dt = 1e-3
-        alone = np.stack([propagate_piecewise(drift, coupling, w, None, dt)
+        alone = np.stack([propagate_piecewise(drift, coupling, w, dt)
                           for w in waves])
         for size in (1, 3, 8, 16):
             for start in range(0, 16, size):
                 block = propagate_piecewise(drift, coupling,
-                                            waves[start:start + size], None,
-                                            dt)
+                                            waves[start:start + size], dt)
                 assert np.array_equal(block, alone[start:start + size])
         seen = self.record_orders(monkeypatch)
-        propagate_piecewise(drift, coupling, waves, None, dt)
+        propagate_piecewise(drift, coupling, waves, dt)
         assert len(set(seen)) > 1  # the x40 row crossed a threshold
         oracle = sequential_oracle(drift, coupling, waves[5], None, dt)
         assert np.abs(alone[5] - oracle).max() < 1e-11
@@ -212,12 +210,14 @@ class TestRowInvariance:
         drift, coupling, wave, noise = problem(d=d, M=300, K=11)
         noise[4] *= 40.0
         dt = 1e-3
-        alone = np.stack([propagate_piecewise(drift, coupling, wave, n, dt)
-                          for n in noise])
-        for chunk in (1, 3, 8, 11, 32):
-            got = propagate_piecewise_batch(drift, coupling, wave, noise, dt,
-                                            chunk=chunk)
-            assert np.array_equal(got, alone)
+        alone = np.concatenate([
+            propagate_piecewise_batch(drift, coupling, wave, n[None], dt)
+            for n in noise])
+        for size in (3, 8, 11):
+            for start in range(0, len(noise), size):
+                block = propagate_piecewise_batch(
+                    drift, coupling, wave, noise[start:start + size], dt)
+                assert np.array_equal(block, alone[start:start + size])
         seen = self.record_orders(monkeypatch)
         propagate_piecewise_batch(drift, coupling, wave, noise, dt)
         assert len(set(seen)) > 1

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from qugray import noisegen
-from qugray.errors import DatasetIOError, InvalidConfigError
+from qugray.errors import InvalidConfigError
 
 
 def make_spec(alpha1=1e9, alpha2=1e-9, channels=1, K=100, M=512, T=2.56e-7,
@@ -115,20 +115,3 @@ class TestEmpiricalPsd:
         rel = np.abs(power[0] - target) / target
         assert np.median(rel) < 0.05
 
-
-class TestDump:
-    def test_roundtrip(self, tmp_path):
-        spec = make_spec(K=3, M=64, channels=2)
-        out = noisegen.synthesize(spec, seed=21)
-        path = tmp_path / "noise.bin"
-        noisegen.dump_realizations(out, path)
-        back = noisegen.load_realizations(path)
-        np.testing.assert_array_equal(back.samples, out.samples)
-        assert back.total_time == out.total_time
-        assert back.channels == 2
-
-    def test_bad_magic(self, tmp_path):
-        path = tmp_path / "junk.bin"
-        path.write_bytes(b"NOTMAGIC" + b"\x00" * 32)
-        with pytest.raises(DatasetIOError):
-            noisegen.load_realizations(path)

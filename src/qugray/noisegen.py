@@ -9,9 +9,12 @@ The 1/f divergence is regularized by clamping the PSD below f_min (default
 1/T): a finite-duration run cannot resolve slower fluctuations anyway.
 
 Streams are counter-based (Philox) keyed by (seed, channel, realization), so
-generation order and worker count never change the samples.
+generation order and worker count never change the samples, and any range of
+realizations can be synthesized alone: `empirical_psd` walks the ensemble in
+chunks and never holds all of it.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -38,6 +41,10 @@ class NoiseSpec:
     f_min: float = None
 
     def __post_init__(self):
+        for name in ("alpha1", "alpha2", "total_time", "f_min"):
+            value = getattr(self, name)
+            if value is not None and not math.isfinite(value):
+                raise InvalidConfigError(f"{name} must be finite, got {value}")
         if self.alpha1 < 0 or self.alpha2 < 0:
             raise InvalidConfigError("PSD coefficients must be non-negative")
         if self.realizations < 1:
@@ -88,8 +95,14 @@ class NoiseRealizationSet:
         return self.samples.shape[2]
 
 
-def synthesize(spec, seed):
-    """Draw a NoiseRealizationSet matching spec, deterministic per seed."""
+def synthesize(spec, seed, start=0, stop=None):
+    """Draw realizations [start, stop) of every channel (default: all of
+    them) as a NoiseRealizationSet, deterministic per seed. Each realization
+    is the same bits whatever range it is drawn in."""
+    stop = spec.realizations if stop is None else stop
+    if not 0 <= start <= stop <= spec.realizations:
+        raise ValueError(f"realization range [{start}, {stop}) outside "
+                         f"[0, {spec.realizations})")
     M = spec.steps
     half = M // 2
     freqs = spec.grid_frequencies()
@@ -99,35 +112,59 @@ def synthesize(spec, seed):
     amp = np.empty(half)
     amp[:-1] = (M / 2.0) * np.sqrt(target[:-1] * df)
     amp[-1] = M * np.sqrt(target[-1] * df)
-    samples = np.zeros((spec.channels, spec.realizations, M))
+    samples = np.zeros((spec.channels, stop - start, M))
     if spec.alpha1 == 0 and spec.alpha2 == 0:
         return NoiseRealizationSet(samples=samples, total_time=spec.total_time)
     for ch in range(spec.channels):
-        for r in range(spec.realizations):
+        for r in range(start, stop):
             rng = streams.noise_generator(seed, ch, r)
             z = rng.standard_normal(2 * half - 1)
             spectrum = np.zeros(half + 1, dtype=complex)
             spectrum[1:half] = amp[:-1] * (z[0:half - 1] + 1j * z[half - 1:2 * half - 2])
             spectrum[half] = amp[-1] * z[-1]  # Nyquist coefficient is real
-            samples[ch, r] = np.fft.irfft(spectrum, n=M)
+            samples[ch, r - start] = np.fft.irfft(spectrum, n=M)
     return NoiseRealizationSet(samples=samples, total_time=spec.total_time)
 
 
-def empirical_psd(real_set):
-    """Averaged periodogram, normalized so its expectation equals the
-    synthesis target. Returns (frequencies, power[channel, bin])."""
+# samples (channels x rows x steps) per chunk of `empirical_psd`: 8 MB of
+# float64, so its footprint does not grow with the ensemble size K
+_CHUNK_SAMPLES = 2 ** 20
+
+
+def _chunk_rows(spec):
+    """Realizations per chunk of `empirical_psd`, at least one."""
+    return max(1, _CHUNK_SAMPLES // (spec.channels * spec.steps))
+
+
+def _add_periodograms(total, real_set):
+    """Add each realization's periodogram row to its channel's row of
+    `total`, in realization order."""
     T = real_set.total_time
     M = real_set.steps
     half = M // 2
-    freqs = np.arange(1, half + 1) / T
-    # one channel at a time: the spectra of the whole ensemble would double
-    # its footprint (954 MB of samples at full scale)
-    power = np.empty((real_set.channels, half))
     for ch, samples in enumerate(real_set.samples):
-        spec = np.fft.rfft(samples, axis=-1)[:, 1:half + 1]
-        periodogram = np.abs(spec) ** 2
+        coeffs = np.fft.rfft(samples, axis=-1)[:, 1:half + 1]
+        periodogram = np.abs(coeffs) ** 2
         periodogram[:, :-1] *= 2.0 * T / (M * M)
         periodogram[:, -1] *= 1.0 * T / (M * M)
-        power[ch] = periodogram.mean(axis=0)
-    return freqs, power
+        for row in periodogram:
+            total[ch] += row
 
+
+def empirical_psd(spec, seed):
+    """Averaged periodogram of the ensemble `synthesize(spec, seed)` draws,
+    normalized so its expectation equals the synthesis target. Returns
+    (frequencies, power[channel, bin]).
+
+    The ensemble is synthesized and transformed one chunk of realizations
+    at a time, so memory holds one chunk whatever K is. Rows are summed in
+    realization order, the order `mean(axis=0)` over the whole (K, M/2)
+    periodogram adds them, so the result is the same bits."""
+    half = spec.steps // 2
+    total = np.zeros((spec.channels, half))
+    step = _chunk_rows(spec)
+    for start in range(0, spec.realizations, step):
+        stop = min(start + step, spec.realizations)
+        # no reference to a chunk outlives its call, so two never coexist
+        _add_periodograms(total, synthesize(spec, seed, start, stop))
+    return spec.grid_frequencies(), total / spec.realizations

@@ -3,6 +3,9 @@ the exit-code contract, and output determinism."""
 
 import json
 import os
+import subprocess
+import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -214,6 +217,72 @@ class TestPsdCheck:
         lines = out.read_text().splitlines()
         assert lines[0] == "frequency_hz,target_psd,empirical_psd"
         assert len(lines) == 1 + 32  # M/2 bins
+
+    def test_empty_mid_band_reported(self, tmp_path, capsys):
+        # a cutoff above Nyquist/16 leaves no bin between 4 x cutoff and
+        # Nyquist/4: the spectrum is written and there is nothing to check
+        cfg = tmp_path / "high_cutoff.cfg"
+        cfg.write_text(TINY_CFG + "noise_f_min_hz = 1e6\n")
+        out = tmp_path / "psd.csv"
+        rc = cli.main(["psd-check", "--config", str(cfg), "--out", str(out)])
+        assert rc == 0
+        assert "no mid band" in capsys.readouterr().out
+        assert len(out.read_text().splitlines()) == 1 + 32
+
+    def test_memory_is_one_chunk(self, tmp_path):
+        # the 3 x 3000 x 1024 ensemble is 74 MB of float64; psd-check must
+        # never hold it, nor any quarter of it
+        cfg = tmp_path / "wide.cfg"
+        cfg.write_text(TINY_CFG.replace("dimension = 2", "dimension = 3")
+                       .replace("time_steps = 64", "time_steps = 1024")
+                       .replace("realisations = 6", "realisations = 3000")
+                       + "omega_2_rad_s = 87.0\n"
+                         "drive_frequency_2_rad_s = 43.1\n"
+                         "carrier_amplitude_2 = 2\n")
+        ensemble_bytes = 3 * 3000 * 1024 * 8
+        tracemalloc.start()
+        try:
+            rc = cli.main(["psd-check", "--config", str(cfg), "--out",
+                           str(tmp_path / "psd.csv")])
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert rc == 0
+        assert peak < ensemble_bytes / 4, f"traced peak {peak / 1e6:.1f} MB"
+
+    def test_python_dash_m(self, tmp_path, tiny_config):
+        out = tmp_path / "psd.csv"
+        env = dict(os.environ)
+        src = os.path.dirname(os.path.dirname(cli.__file__))
+        env["PYTHONPATH"] = os.pathsep.join(
+            [src] + [p for p in [env.get("PYTHONPATH")] if p])
+        proc = subprocess.run([sys.executable, "-m", "qugray", "psd-check",
+                               "--config", tiny_config, "--out", str(out)],
+                              env=env, capture_output=True, text=True,
+                              timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert len(out.read_text().splitlines()) == 1 + 32
+
+
+class TestNonFiniteConfig:
+    @pytest.mark.parametrize("key, value", [("alpha_1", "nan"),
+                                            ("alpha_2", "inf"),
+                                            ("evolution_time_s", "inf"),
+                                            ("noise_f_min_hz", "nan")])
+    @pytest.mark.parametrize("command", ["gen-dataset", "psd-check"])
+    def test_exits_2_before_writing(self, tmp_path, key, value, command):
+        lines = [line for line in TINY_CFG.splitlines()
+                 if not line.startswith(key + " ")]
+        cfg = tmp_path / "cfg" / "bad.cfg"
+        cfg.parent.mkdir()
+        cfg.write_text("\n".join(lines + [f"{key} = {value}"]) + "\n")
+        outdir = tmp_path / "out"
+        outdir.mkdir()
+        argv = [command, "--config", str(cfg), "--out", str(outdir / "x")]
+        if command == "gen-dataset":
+            argv += ["--examples", "2", "--workers", "1"]
+        assert cli.main(argv) == 2
+        assert os.listdir(outdir) == []
 
 
 class TestGridParsing:

@@ -43,6 +43,13 @@ class TestSpec:
         with pytest.raises(InvalidConfigError):
             make_spec(alpha1=-1.0)
 
+    @pytest.mark.parametrize("field", ["alpha1", "alpha2", "T", "f_min"])
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_non_finite_parameters_rejected(self, field, value):
+        # nan < 0 is False, so a sign check alone lets NaN through
+        with pytest.raises(InvalidConfigError, match="finite"):
+            make_spec(**{field: value})
+
 
 class TestSynthesize:
     def test_zero_psd_gives_zero_samples(self):
@@ -81,24 +88,22 @@ class TestSynthesize:
 
 class TestEmpiricalPsd:
     def test_zero_input(self):
-        out = noisegen.synthesize(make_spec(alpha1=0.0, alpha2=0.0, K=5), 0)
-        _, power = noisegen.empirical_psd(out)
+        _, power = noisegen.empirical_psd(
+            make_spec(alpha1=0.0, alpha2=0.0, K=5), 0)
         assert np.abs(power).max() == 0.0
 
     def test_flat_target_recovered(self):
         # synthesize against a flat PSD: every bin within 10% at K = 1000
         spec = _FlatSpec(alpha1=1.0, alpha2=0.0, channels=1,
                          realizations=1000, steps=256, total_time=1.0)
-        out = noisegen.synthesize(spec, seed=11)
-        freqs, power = noisegen.empirical_psd(out)
+        freqs, power = noisegen.empirical_psd(spec, seed=11)
         rel = np.abs(power[0] - _FlatSpec.LEVEL) / _FlatSpec.LEVEL
         assert rel.max() < 0.10
 
     def test_synthesized_slopes(self):
         # 1/f side slope -1, proportional side slope +1, within 0.15
         spec = make_spec(K=400, M=16384, T=2.56e-7)
-        out = noisegen.synthesize(spec, seed=3)
-        freqs, power = noisegen.empirical_psd(out)
+        freqs, power = noisegen.empirical_psd(spec, seed=3)
         mean_power = power[0]
         low = (freqs > 1e7) & (freqs < 1e8)
         high = (freqs > 1e10) & (freqs < 3e10)
@@ -109,9 +114,68 @@ class TestEmpiricalPsd:
 
     def test_expectation_matches_target(self):
         spec = make_spec(K=1500, M=256, T=1e-6)
-        out = noisegen.synthesize(spec, seed=9)
-        freqs, power = noisegen.empirical_psd(out)
+        freqs, power = noisegen.empirical_psd(spec, seed=9)
         target = spec.psd(freqs)
         rel = np.abs(power[0] - target) / target
         assert np.median(rel) < 0.05
 
+
+
+def _parent_psd(real_set):
+    """The whole-ensemble averaged periodogram: rfft of each channel's
+    (K, M) samples, then the mean over realizations."""
+    T, M = real_set.total_time, real_set.steps
+    half = M // 2
+    power = np.empty((real_set.channels, half))
+    for ch, samples in enumerate(real_set.samples):
+        periodogram = np.abs(np.fft.rfft(samples, axis=-1)[:, 1:half + 1]) ** 2
+        periodogram[:, :-1] *= 2.0 * T / (M * M)
+        periodogram[:, -1] *= 1.0 * T / (M * M)
+        power[ch] = periodogram.mean(axis=0)
+    return power
+
+
+class TestChunks:
+    @pytest.fixture
+    def spec(self, monkeypatch):
+        # 16 rows per chunk of 2 channels x 256 steps
+        monkeypatch.setattr(noisegen, "_CHUNK_SAMPLES", 2 * 16 * 256)
+        spec = make_spec(channels=2, K=71, M=256)
+        assert noisegen._chunk_rows(spec) == 16
+        return spec
+
+    def test_range_equals_rows_of_whole_set(self, spec):
+        whole = noisegen.synthesize(spec, seed=21).samples
+        for start, stop in [(0, 71), (0, 16), (5, 37), (16, 32), (64, 71),
+                            (70, 71), (33, 33)]:
+            part = noisegen.synthesize(spec, 21, start, stop)
+            assert part.samples.shape == (2, stop - start, 256)
+            assert part.total_time == spec.total_time
+            np.testing.assert_array_equal(part.samples,
+                                          whole[:, start:stop])
+
+    @pytest.mark.parametrize("start, stop", [(-1, 3), (4, 3), (0, 72)])
+    def test_range_outside_ensemble_rejected(self, spec, start, stop):
+        with pytest.raises(ValueError):
+            noisegen.synthesize(spec, 0, start, stop)
+
+    def test_streamed_psd_equals_whole_ensemble_formula(self, spec):
+        # K = 71 spans four full chunks and a partial one
+        freqs, power = noisegen.empirical_psd(spec, seed=8)
+        expected = _parent_psd(noisegen.synthesize(spec, seed=8))
+        np.testing.assert_array_equal(freqs, spec.grid_frequencies())
+        assert power.shape == expected.shape
+        assert np.array_equal(power, expected)
+
+    def test_streamed_psd_at_default_chunk(self):
+        spec = make_spec(channels=3, K=1200, M=1024)
+        assert noisegen._chunk_rows(spec) < spec.realizations
+        _, power = noisegen.empirical_psd(spec, seed=2)
+        expected = _parent_psd(noisegen.synthesize(spec, seed=2))
+        assert np.array_equal(power, expected)
+
+    def test_one_chunk_when_ensemble_is_small(self):
+        spec = make_spec(channels=1, K=3, M=64)
+        _, power = noisegen.empirical_psd(spec, seed=4)
+        expected = _parent_psd(noisegen.synthesize(spec, seed=4))
+        assert np.array_equal(power, expected)

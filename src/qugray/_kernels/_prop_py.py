@@ -6,12 +6,21 @@ step exponential splits into real matrix functions,
     exp(-i H_k dt) = e^{-i mu_k dt} (cos X_k - i sin X_k),
     X_k = dt (H_k - mu_k I),   mu_k = tr H_k / d.
 
-cos and sin are Taylor polynomials in Y = X^2, evaluated Paterson-Stockmeyer
-style on shared powers of Y. The degree, and a power-of-two scaling undone by
-double-angle steps, follow from a bound on max_k ||X_k||_1 so that the
-truncation error stays below the unit roundoff (cf. Al-Mohy & Higham, SIAM J.
-Matrix Anal. Appl. 31, 970 (2009)). No per-matrix LAPACK call is made. The
-trace phases are scalars, so their product is applied once at the end.
+cos and sin are Taylor polynomials in X. The degree, and a power-of-two
+scaling undone by double-angle steps, follow from a bound on max_k ||X_k||_1
+so that the truncation error stays below the unit roundoff (cf. Al-Mohy &
+Higham, SIAM J. Matrix Anal. Appl. 31, 970 (2009)). No per-matrix LAPACK call
+is made. The trace phases are scalars, so their product is applied once at
+the end.
+
+The polynomials are evaluated on d scalar coefficients per step, not on
+d x d matrices. X is traceless, so Cayley-Hamilton gives
+X^d = c_0 I + c_1 X + ... + c_{d-2} X^{d-2}, with the c_m from the power
+sums tr X^k by Newton's identities. Horner's rule in X then runs on the
+coefficient vector of I, X, ..., X^{d-1}: one step is a shift plus d - 1
+multiply-adds. The only matrix products are X^2 .. X^{d-1}, and cos X and
+-sin X are assembled once from them (cf. Moler & Van Loan, SIAM Rev. 45, 3
+(2003)).
 
 Rows: one call propagates a stack of trajectories, one per row: noise
 realizations under one waveform, or pulses (one waveform per row) without
@@ -36,11 +45,9 @@ import math
 
 import numpy as np
 
-# Taylor degree in Y = X^2: the largest needed for ||X||_1 <= 1 at unit
+# Taylor degree in X^2: the largest needed for ||X||_1 <= 1 at unit
 # roundoff; larger norms are scaled down by powers of two.
 _MAX_DEGREE = 8
-# Paterson-Stockmeyer block size: powers Y .. Y^3 are shared by cos and sin.
-_BLOCK = 3
 # ||X||_1 up to which degree q truncates below the unit roundoff, judged by
 # the first omitted cos term theta^(2q+2) / (2q+2)!, which dominates the tail.
 _THETA = [(2.0 ** -53 * math.factorial(2 * q + 2)) ** (1.0 / (2 * q + 2))
@@ -53,8 +60,9 @@ _NEG_SINC = [-(-1) ** n / math.factorial(2 * n + 1)
 _STACK_BELOW = 256
 # step-matrix entries (rows x steps x d^2) per kernel call. Timed on a
 # 2 MiB-per-core L2: at 13 250 steps, 1 qutrit or 2 qubit rows per call run
-# 2.1-2.3x faster per step than 32 rows; at 1000 steps, 16 noisy qutrit rows
-# run ~17% faster than 32.
+# 2.1-2.3x faster per step than 32 rows; at 1000 steps, 16 qutrit rows, noisy
+# or closed, run 4-8% faster per row than 8 or 32, and desk qubit calls of
+# 16, 18 or 36 rows tie within the timing noise.
 _CALL_ENTRIES = 144_000
 
 
@@ -84,33 +92,6 @@ def _sym_matmul(a, b):
     return _mirror([_entry(a, b, i, j) for i, j in _upper(d)], d)
 
 
-def _polynomial(coefs, powers):
-    """sum_n coefs[n] Y^n with powers[m] = Y^m for m >= 1, by Horner's rule
-    in Y^p over blocks of p terms (p = len(powers) - 1); the top block also
-    takes the Y^p term."""
-    p = len(powers) - 1
-    d = len(powers[1])
-    n_blocks = max(1, -(-(len(coefs) - 1) // p))
-    acc = None
-    for b in reversed(range(n_blocks)):
-        block = coefs[b * p:] if b == n_blocks - 1 else coefs[b * p:(b + 1) * p]
-        prod = None if acc is None else _sym_matmul(acc, powers[p])
-        entries = []
-        for i, j in _upper(d):
-            if prod is None:
-                value = block[1] * powers[1][i][j]
-            else:
-                value = prod[i][j]
-                value += block[1] * powers[1][i][j]
-            for m in range(2, len(block)):
-                value += block[m] * powers[m][i][j]
-            if i == j:
-                value += block[0]
-            entries.append(value)
-        acc = _mirror(entries, d)
-    return acc
-
-
 def _row_orders(peak):
     """(degree, squarings) per row from peak[i][j], the row's max_k |X_ij|
     over its steps, via the bound theta = max_k ||X_k||_1 <= max_i sum_j
@@ -127,18 +108,89 @@ def _row_orders(peak):
     return orders
 
 
+def _sum(values):
+    """values[0] + values[1] + ..., added in that order."""
+    out = values[0]
+    for value in values[1:]:
+        out = out + value
+    return out
+
+
+def _trace_product(a, b):
+    """tr(a @ b) for symmetric stacks, from the upper triangles."""
+    d = len(a)
+    diag = _sum([a[i][i] * b[i][i] for i in range(d)])
+    off = _sum([a[i][j] * b[i][j] for i, j in _upper(d) if i < j])
+    return diag + (off + off)
+
+
+def _char_coefs(powers):
+    """c_0 .. c_{d-2} with X^d = sum_m c_m X^m, for a traceless symmetric
+    stack X with powers[k] = X^k (k = 1 .. d-1): Cayley-Hamilton with
+    c_{d-1} = tr X = 0. With g_k = c_{d-k}, Newton's identities on the
+    power sums p_k = tr X^k read k g_k = p_k - sum_{i=2}^{k-2} g_{k-i} p_i.
+    """
+    d = len(powers[1])
+    p = [None, None] + [_sum([powers[k][i][i] for i in range(d)])
+                         for k in range(2, d)]
+    p.append(_trace_product(powers[d - 1], powers[1]))
+    g = [None, None]
+    for k in range(2, d + 1):
+        acc = p[k]
+        for i in range(2, k - 1):
+            acc = acc - g[k - i] * p[i]
+        g.append(acc / k)
+    return [g[d - m] for m in range(d - 1)]
+
+
+def _reduce(coefs, c):
+    """r_0 .. r_{d-1} with sum_k coefs[k] X^k = sum_m r_m X^m, by Horner's
+    rule in X on the coefficient vector. Multiplying by X shifts it, and
+    X^d = sum_m c_m X^m folds the top coefficient back: d - 1
+    multiply-adds. The top d coefficients need no step."""
+    d = len(c) + 1
+    start = max(0, len(coefs) - d)
+    r = list(coefs[start:]) + [0.0] * (d + start - len(coefs))
+    for a in reversed(coefs[:start]):
+        top = r[-1]
+        r = [top * c[0]] + [r[m - 1] + top * c[m] for m in range(1, d - 1)] \
+            + [r[d - 2]]
+        if a:
+            r[0] += a
+    return r
+
+
+def _combine(r, powers):
+    """sum_m r_m X^m as a symmetric stack, with powers[m] = X^m, m >= 1."""
+    d = len(r)
+    entries = []
+    for i, j in _upper(d):
+        value = r[1] * powers[1][i][j]
+        for m in range(2, d):
+            value += r[m] * powers[m][i][j]
+        if i == j:
+            value += r[0]
+        entries.append(value)
+    return _mirror(entries, d)
+
+
 def _cos_neg_sin(x, degree, squarings):
-    """(cos X, -sin X) for a symmetric stack X, both symmetric stacks, by the
-    degree-`degree` polynomials at X / 2^squarings and double-angle steps."""
+    """(cos X, -sin X) for a traceless symmetric stack X, both symmetric
+    stacks, by the degree-`degree` polynomials at X / 2^squarings and
+    double-angle steps."""
     d = len(x)
     if squarings:
         scale = 2.0 ** -squarings
         x = _mirror([x[i][j] * scale for i, j in _upper(d)], d)
-    powers = [None, _sym_matmul(x, x)]
-    while len(powers) <= min(degree, _BLOCK):
-        powers.append(_sym_matmul(powers[-1], powers[1]))
-    cos = _polynomial(_COS[:degree + 1], powers)
-    neg_sin = _sym_matmul(x, _polynomial(_NEG_SINC[:degree + 1], powers))
+    powers = [None, x]
+    while len(powers) < d:
+        powers.append(_sym_matmul(powers[-1], x))
+    c = _char_coefs(powers)
+    # the Taylor coefficients in X: cos is even, -sin X = X (-sin X / X) odd
+    cos_x = [a for n in _COS[:degree + 1] for a in (n, 0.0)][:-1]
+    neg_sin_x = [a for n in _NEG_SINC[:degree + 1] for a in (0.0, n)]
+    cos = _combine(_reduce(cos_x, c), powers)
+    neg_sin = _combine(_reduce(neg_sin_x, c), powers)
     for _ in range(squarings):
         # cos 2X = 2 cos^2 X - I, sin 2X = 2 sin X cos X
         neg_sin = _sym_matmul(neg_sin, cos)
@@ -160,19 +212,23 @@ def _step_unitaries(drift_diag, coupling, waves, noise_diags, dt):
     """
     d = drift_diag.shape[0]
     waves = np.atleast_2d(waves)
-    base = drift_diag if noise_diags is None else drift_diag + noise_diags
-    diag = base + waves[..., None] * np.diag(coupling)
-    R, M = diag.shape[:2]
-    mu = diag.mean(axis=-1)
+    # the diagonal of H_k, one (R, M) level per basis state
+    levels = [drift_diag[i] + waves * coupling[i, i] for i in range(d)]
+    if noise_diags is not None:
+        levels = [level + noise_diags[..., i] for i, level in enumerate(levels)]
+    R, M = levels[0].shape
+    mu = _sum(levels) / d
     x = [[None] * d for _ in range(d)]
     peak = [[None] * d for _ in range(d)]
     for i in range(d):
-        x[i][i] = dt * (diag[..., i] - mu)
+        x[i][i] = dt * (levels[i] - mu)
         peak[i][i] = np.abs(x[i][i]).max(axis=-1)
         for j in range(i + 1, d):
             # a shared wave's bound is taken once, before the rows copy it
+            # (elementwise work runs slower on a stride-0 operand)
             off = (dt * coupling[i, j]) * waves
-            x[i][j] = x[j][i] = np.broadcast_to(off, (R, M)).copy()
+            x[i][j] = x[j][i] = np.ascontiguousarray(
+                np.broadcast_to(off, (R, M)))
             peak[i][j] = peak[j][i] = np.abs(off).max(axis=-1)
     orders = _row_orders(peak)
     groups = sorted(set(orders))
@@ -283,14 +339,25 @@ def propagate_piecewise(drift_diag, coupling, wave, dt, return_steps=False):
 
 
 def _prefix_products(steps):
-    """P_k = S_k ... S_0 for a (M, d, d) stack, by log2(M) stacked doubling
-    passes (an inclusive Hillis-Steele scan)."""
-    prefix = steps.copy()
-    shift = 1
-    while shift < len(prefix):
-        prefix[shift:] = prefix[shift:] @ prefix[:-shift]
-        shift *= 2
-    return prefix
+    """P_k = S_k ... S_0 for a (M, d, d) stack, by a blocked scan: blocks
+    of ~sqrt(M) steps are scanned side by side, then each block is carried
+    by the product of all blocks before it. That is ~2M stacked products
+    in ~2 sqrt(M) calls."""
+    M, d = steps.shape[:2]
+    size = math.isqrt(M)
+    count = -(-M // size)
+    blocks = np.empty((count * size, d, d), dtype=steps.dtype)
+    blocks[:M] = steps
+    blocks[M:] = np.eye(d)
+    blocks = blocks.reshape(count, size, d, d)
+    for t in range(1, size):
+        blocks[:, t] = blocks[:, t] @ blocks[:, t - 1]
+    carries = [blocks[0, -1]]
+    for j in range(1, count - 1):
+        carries.append(blocks[j, -1] @ carries[-1])
+    if count > 1:
+        blocks[1:] = blocks[1:] @ np.array(carries)[:, None]
+    return blocks.reshape(-1, d, d)[:M]
 
 
 def pullback_closed(drift_diag, coupling, wave, dt, g_u, steps):

@@ -92,9 +92,25 @@ def cmd_train(args):
     return 0
 
 
+def _check_eval_k(eval_k):
+    if eval_k is not None and eval_k < 1:
+        raise InvalidConfigError(f"--eval-k {eval_k}: the fidelity needs at "
+                                 "least 1 noise realization")
+
+
 def cmd_optimize(args):
+    _check_eval_k(args.eval_k)
     model = graybox.GrayboxModel.load(args.model)
     gate = control.parse_gate(args.gate, model.d)
+    # every eval config is loaded and checked before the optimization runs
+    eval_configs = []
+    for entry in args.eval_config:
+        cfg_i, _ = config_mod.load_config(entry)
+        if (cfg_i.dim, cfg_i.n_max) != (model.d, model.n_max):
+            raise InvalidConfigError(
+                f"eval config {entry} has d={cfg_i.dim}, n_max={cfg_i.n_max}; "
+                f"the model has d={model.d}, n_max={model.n_max}")
+        eval_configs.append((entry, cfg_i))
     result = control.optimize_gate(model, gate, restarts=args.restarts,
                                    seed=args.seed, max_iters=args.iters,
                                    workers=args.workers)
@@ -103,11 +119,7 @@ def cmd_optimize(args):
     result.fidelity_closed = control.evaluate_fidelity(
         closed_cfg, result.theta_star, gate)
     result.fidelities["closed"] = result.fidelity_closed
-    for entry in args.eval_config or []:
-        cfg_i, _ = config_mod.load_config(entry)
-        if cfg_i.dim != model.d:
-            raise InvalidConfigError(f"eval config {entry} has d={cfg_i.dim}, "
-                                     f"model has d={model.d}")
+    for entry, cfg_i in eval_configs:
         result.fidelities[entry] = control.evaluate_fidelity(
             cfg_i, result.theta_star, gate, k_eval=args.eval_k)
     control.save_result(result, args.out)
@@ -151,6 +163,7 @@ def _load_optimized(path, expected_len):
 
 
 def cmd_landscape(args):
+    _check_eval_k(args.eval_k)
     model = graybox.GrayboxModel.load(args.model)
     gate = control.parse_gate(args.gate, model.d)
     expected = 2 * (model.d - 1) * model.n_max

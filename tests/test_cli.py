@@ -160,7 +160,47 @@ class TestOptimize:
         assert rc == 2
 
 
+    @pytest.mark.parametrize("extra", [
+        ["--eval-config", "no_such_preset"],
+        ["--eval-config", "qutrit_desk_weak"],       # d = 3 for a d = 2 model
+        ["--eval-config", "n_max=2"],                # another pulse length
+        ["--eval-k", "0"],
+        ["--eval-k", "-1"],
+    ], ids=["unknown", "dimension", "n-max", "k-zero", "k-negative"])
+    def test_bad_eval_options_exit_2_before_optimizing(
+            self, tmp_path, tiny_model, monkeypatch, extra):
+        if extra[1] == "n_max=2":
+            cfg = tmp_path / "other.cfg"
+            cfg.write_text(TINY_CFG.replace("n_max = 4", "n_max = 2"))
+            extra = ["--eval-config", str(cfg)]
+
+        def must_not_run(*args, **kwargs):
+            raise AssertionError("optimize_gate ran")
+
+        monkeypatch.setattr(cli.control, "optimize_gate", must_not_run)
+        out = tmp_path / "r.json"
+        rc = cli.main(["optimize", "--model", tiny_model, "--gate", "X",
+                       "--out", str(out), "--restarts", "1", "--iters", "2"]
+                      + extra)
+        assert rc == 2
+        assert not out.exists()
+
+
 class TestLandscapeExpand:
+    @pytest.mark.parametrize("k", ["0", "-3"])
+    def test_eval_k_below_one_exits_2_before_the_sweep(
+            self, tmp_path, tiny_model, tiny_dataset, monkeypatch, k):
+        def must_not_run(*args, **kwargs):
+            raise AssertionError("scan_epsilon ran")
+
+        monkeypatch.setattr(interpret, "scan_epsilon", must_not_run)
+        out = tmp_path / "land.csv"
+        rc = cli.main(["landscape", "--model", tiny_model, "--pulses",
+                       f"{tiny_dataset}:0", "--gate", "X", "--grid", "-1:1:3",
+                       "--out", str(out), "--eval-k", k])
+        assert rc == 2
+        assert not out.exists()
+
     def test_landscape_csv(self, tmp_path, tiny_model, tiny_dataset):
         out = tmp_path / "land.csv"
         rc = cli.main(["landscape", "--model", tiny_model, "--pulses",

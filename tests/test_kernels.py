@@ -131,6 +131,96 @@ class TestStepExponential:
             assert np.abs(got - ref).max() <= tol
 
 
+class TestCosNegSin:
+    """_cos_neg_sin directly, on (rows, steps) stacks of traceless symmetric
+    X against scipy.linalg.cosm and sinm. Each degree q is taken at its own
+    norm bound ||X||_1 = theta_q, times 2^s with s squarings, so the
+    truncation stays below the unit roundoff and any larger error is the
+    evaluation's: the Cayley-Hamilton recurrence is checked on random and
+    degenerate spectra, where a companion recurrence could lose accuracy."""
+
+    @staticmethod
+    def scaled(mats, degree, squarings):
+        norm = np.abs(mats).sum(axis=-1).max()
+        if norm == 0.0:
+            return mats
+        return mats * (_prop_py._THETA[degree] * 2.0 ** squarings / norm)
+
+    @staticmethod
+    def check(mats, degree, squarings):
+        d = mats.shape[-1]
+        x = [[np.ascontiguousarray(mats[..., i, j]) for j in range(d)]
+             for i in range(d)]
+        cos, neg_sin = _prop_py._cos_neg_sin(x, degree, squarings)
+        flat = mats.reshape(-1, d, d)
+        ref_cos = np.stack([scipy.linalg.cosm(m) for m in flat]).real
+        ref_neg_sin = -np.stack([scipy.linalg.sinm(m) for m in flat]).real
+        tol = 1e-15 * 4.0 ** squarings
+        for i in range(d):
+            for j in range(d):
+                assert np.abs(cos[i][j].ravel() - ref_cos[:, i, j]).max() \
+                    <= tol
+                assert np.abs(neg_sin[i][j].ravel()
+                              - ref_neg_sin[:, i, j]).max() <= tol
+
+    @staticmethod
+    def traceless(mats):
+        d = mats.shape[-1]
+        trace = np.trace(mats, axis1=-2, axis2=-1)[..., None, None]
+        return mats - np.eye(d) * trace / d
+
+    @pytest.mark.parametrize("d", [2, 3, 4, 5, 6])
+    @pytest.mark.parametrize("squarings", [0, 1, 3])
+    def test_every_degree(self, d, squarings):
+        rng = np.random.default_rng(d)
+        for degree in range(1, _prop_py._MAX_DEGREE + 1):
+            a = rng.normal(size=(2, 3, d, d))
+            mats = self.traceless(a + a.swapaxes(-1, -2))
+            self.check(self.scaled(mats, degree, squarings), degree,
+                       squarings)
+
+    @pytest.mark.parametrize("d", [2, 3, 4, 5, 6])
+    @pytest.mark.parametrize("spectrum",
+                             ["zero", "repeated", "diagonal", "rank-one"])
+    def test_degenerate_spectra(self, d, spectrum):
+        rng = np.random.default_rng(d)
+        if spectrum == "zero":
+            x = np.zeros((d, d))
+        elif spectrum == "repeated":
+            # one eigenvalue d - 1 times, in a random basis
+            q, _ = np.linalg.qr(rng.normal(size=(d, d)))
+            x = q @ np.diag([1.0] * (d - 1) + [1.0 - d]) @ q.T
+        elif spectrum == "diagonal":
+            x = np.diag(np.linspace(-0.5, 0.4, d))
+            x = self.traceless(x)
+        else:
+            # the traceless part of a rank-one matrix
+            v = rng.normal(size=d)
+            x = self.traceless(np.outer(v, v))
+        for degree in (1, 4, _prop_py._MAX_DEGREE):
+            for squarings in (0, 2):
+                mats = np.broadcast_to(self.scaled(x, degree, squarings),
+                                       (2, 3, d, d))
+                self.check(mats, degree, squarings)
+
+    @pytest.mark.parametrize("d", [3, 4, 5, 6])
+    def test_trace_is_rounding_noise(self, d):
+        # the kernel takes X = dt (H - tr H / d), whose trace is rounding
+        # noise, while the recurrence assumes tr X = 0
+        rng = np.random.default_rng(d)
+        for _ in range(100):
+            levels = rng.normal(size=d) * 0.2
+            diag = levels - levels.sum() / d
+            if diag.sum() != 0.0:
+                break
+        assert diag.sum() != 0.0
+        mats = np.broadcast_to(np.diag(diag), (2, 3, d, d))
+        for degree in range(1, _prop_py._MAX_DEGREE + 1):
+            if np.abs(diag).max() <= _prop_py._THETA[degree]:
+                self.check(mats, degree, 0)
+        self.check(mats * 8.0, _prop_py._MAX_DEGREE, 3)
+
+
 class TestBackendAgreement:
     def test_unitarity(self):
         drift, coupling, wave, noise = problem(d=5, M=300, K=3)

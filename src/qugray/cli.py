@@ -206,9 +206,10 @@ def cmd_expand(args):
 
 
 def cmd_psd_check(args):
-    cfg, parsed = config_mod.load_config(args.config)
+    cfg, _ = config_mod.load_config(args.config)
     spec = cfg.noise
-    freqs, power = noisegen.empirical_psd(spec, seed=args.seed)
+    seed = cfg.seed if args.seed is None else args.seed
+    freqs, power = noisegen.empirical_psd(spec, seed=seed)
     target = spec.psd(freqs)
     mean_power = power.mean(axis=0)
     with fileio.atomic_write(args.out) as fh:
@@ -240,7 +241,8 @@ def build_parser():
                    help="config file path or preset name")
     p.add_argument("--out", required=True, help="output JSON-lines path")
     p.add_argument("--examples", type=int, required=True)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=int, default=None,
+                   help="default: the config's seed")
     p.add_argument("--workers", type=int, default=workers)
     p.set_defaults(func=cmd_gen_dataset)
 
@@ -297,7 +299,8 @@ def build_parser():
     p = sub.add_parser("psd-check", help="verify synthesized noise spectra")
     p.add_argument("--config", required=True)
     p.add_argument("--out", required=True, help="CSV path")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=int, default=None,
+                   help="default: the config's seed")
     p.set_defaults(func=cmd_psd_check)
     return parser
 
@@ -326,6 +329,9 @@ def main(argv=None):
         argv = sys.argv[1:]
     args = parser.parse_args(_join_dash_values(list(argv)))
     try:
+        seed = getattr(args, "seed", None)
+        if seed is not None and seed < 0:
+            raise InvalidConfigError(f"--seed {seed}: seeds must be >= 0")
         return args.func(args)
     except _USAGE_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)

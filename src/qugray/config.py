@@ -102,6 +102,9 @@ def build_system_config(parsed, source="<config>"):
                 "alpha_1", "alpha_2"):
         if key not in parsed:
             raise InvalidConfigError(f"{source}: missing required key {key!r}")
+    if parsed.get("seed", 0) < 0:
+        raise InvalidConfigError(f"{source}: seed must be >= 0, got "
+                                 f"{parsed['seed']}")
     T = parsed["evolution_time_s"]
     M = parsed["time_steps"]
     omega = [_freq(parsed, f"omega_{j}", source, required=(j > 0), default=0.0)

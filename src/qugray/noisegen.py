@@ -11,7 +11,9 @@ The 1/f divergence is regularized by clamping the PSD below f_min (default
 Streams are counter-based (Philox) keyed by (seed, channel, realization), so
 generation order and worker count never change the samples, and any range of
 realizations can be synthesized alone: `empirical_psd` walks the ensemble in
-chunks and never holds all of it.
+chunks and never holds all of it. Within a range, `synthesize` works on
+blocks of realizations of a bounded size: one vectorized key pass, one
+generator re-keyed per row, one spectrum and one batched inverse FFT.
 """
 
 import math
@@ -95,10 +97,25 @@ class NoiseRealizationSet:
         return self.samples.shape[2]
 
 
+# samples (rows x steps) per block of `synthesize`: a block's normals and
+# spectrum take ~16 bytes of scratch per sample, ~2 MB whatever the range
+_BLOCK_SAMPLES = 2 ** 17
+
+
+def _block_rows(steps):
+    """Realizations per synthesis block, at least one."""
+    return max(1, _BLOCK_SAMPLES // steps)
+
+
 def synthesize(spec, seed, start=0, stop=None):
     """Draw realizations [start, stop) of every channel (default: all of
     them) as a NoiseRealizationSet, deterministic per seed. Each realization
-    is the same bits whatever range it is drawn in."""
+    is the same bits whatever range it is drawn in.
+
+    Realization r of channel ch draws its M - 1 normals from the Philox
+    stream keyed (seed, ch, r). A block of realizations is built at a time:
+    one key pass, one generator re-keyed per row, one spectrum and one
+    inverse FFT written straight into the samples."""
     stop = spec.realizations if stop is None else stop
     if not 0 <= start <= stop <= spec.realizations:
         raise ValueError(f"realization range [{start}, {stop}) outside "
@@ -115,14 +132,31 @@ def synthesize(spec, seed, start=0, stop=None):
     samples = np.zeros((spec.channels, stop - start, M))
     if spec.alpha1 == 0 and spec.alpha2 == 0:
         return NoiseRealizationSet(samples=samples, total_time=spec.total_time)
+    bitgen = np.random.Philox()
+    rng = np.random.Generator(bitgen)
+    # a new Philox's state has its counter at zero and its buffer empty, so
+    # setting it with a row's key restarts the stream that key seeds
+    state = bitgen.state
+    rows = min(_block_rows(M), max(1, stop - start))
+    z = np.empty((rows, M - 1))
+    spectrum = np.zeros((rows, half + 1), dtype=complex)
     for ch in range(spec.channels):
-        for r in range(start, stop):
-            rng = streams.noise_generator(seed, ch, r)
-            z = rng.standard_normal(2 * half - 1)
-            spectrum = np.zeros(half + 1, dtype=complex)
-            spectrum[1:half] = amp[:-1] * (z[0:half - 1] + 1j * z[half - 1:2 * half - 2])
-            spectrum[half] = amp[-1] * z[-1]  # Nyquist coefficient is real
-            samples[ch, r - start] = np.fft.irfft(spectrum, n=M)
+        for lo in range(start, stop, rows):
+            hi = min(lo + rows, stop)
+            n = hi - lo
+            for i, key in enumerate(streams.noise_keys(seed, ch, lo, hi)):
+                state["state"]["key"] = key
+                bitgen.state = state
+                rng.standard_normal(out=z[i])
+            # real and imaginary parts of bins 1 .. M/2 - 1, then the real
+            # Nyquist coefficient; bin 0 stays zero
+            np.multiply(z[:n, :half - 1], amp[:-1],
+                        out=spectrum.real[:n, 1:half])
+            np.multiply(z[:n, half - 1:-1], amp[:-1],
+                        out=spectrum.imag[:n, 1:half])
+            np.multiply(z[:n, -1], amp[-1], out=spectrum.real[:n, half])
+            np.fft.irfft(spectrum[:n], n=M, axis=-1,
+                         out=samples[ch, lo - start:hi - start])
     return NoiseRealizationSet(samples=samples, total_time=spec.total_time)
 
 

@@ -325,6 +325,75 @@ class TestNonFiniteConfig:
         assert os.listdir(outdir) == []
 
 
+def _seed_argv(command, ctx, out):
+    """A run of `command` writing into the directory `out`, before --seed;
+    `ctx` holds the inputs it reads."""
+    return {
+        "gen-dataset": ["gen-dataset", "--config", ctx.get("config"), "--out",
+                        str(out / "d.jsonl"), "--examples", "2",
+                        "--workers", "1"],
+        "train": ["train", "--dataset", ctx.get("dataset"), "--out",
+                  str(out / "m.qgm"), "--iters", "1", "--batch", "4"],
+        "optimize": ["optimize", "--model", ctx.get("model"), "--gate", "X",
+                     "--out", str(out / "r.json"), "--restarts", "1",
+                     "--iters", "1", "--workers", "1"],
+        "psd-check": ["psd-check", "--config", ctx.get("config"), "--out",
+                      str(out / "psd.csv")],
+    }[command]
+
+
+def _config_with_seed(tmp_path, seed):
+    cfg = tmp_path / "cfg" / f"seed{seed}.cfg"
+    cfg.parent.mkdir(exist_ok=True)
+    cfg.write_text(TINY_CFG.replace("seed = 0", f"seed = {seed}"))
+    return str(cfg)
+
+
+class TestSeeds:
+    @pytest.mark.parametrize("command", ["gen-dataset", "train", "optimize",
+                                         "psd-check"])
+    def test_negative_seed_exits_2_before_writing(self, tmp_path, capsys,
+                                                  command, tiny_config,
+                                                  tiny_dataset, tiny_model):
+        ctx = {"config": tiny_config, "dataset": tiny_dataset,
+               "model": tiny_model}
+        out = tmp_path / "out"
+        out.mkdir()
+        assert cli.main(_seed_argv(command, ctx, out) + ["--seed", "-1"]) == 2
+        assert "seed" in capsys.readouterr().err
+        assert os.listdir(out) == []
+
+    @pytest.mark.parametrize("command", ["gen-dataset", "psd-check",
+                                         "optimize"])
+    def test_negative_config_seed_exits_2_before_writing(
+            self, tmp_path, capsys, command, tiny_model):
+        cfg = _config_with_seed(tmp_path, -4)
+        out = tmp_path / "out"
+        out.mkdir()
+        argv = _seed_argv(command, {"config": cfg, "model": tiny_model}, out)
+        if command == "optimize":
+            argv += ["--eval-config", cfg]
+        assert cli.main(argv) == 2
+        assert "seed" in capsys.readouterr().err
+        assert os.listdir(out) == []
+
+    @pytest.mark.parametrize("command, files", [
+        ("gen-dataset", ["d.jsonl", "d.jsonl.manifest.json"]),
+        ("psd-check", ["psd.csv"])])
+    def test_config_seed_is_the_default(self, tmp_path, command, files):
+        cfg = _config_with_seed(tmp_path, 7)
+        outputs = {}
+        for run, extra in (("config", []), ("flag", ["--seed", "7"]),
+                           ("zero", ["--seed", "0"])):
+            out = tmp_path / run
+            out.mkdir()
+            assert cli.main(_seed_argv(command, {"config": cfg}, out)
+                            + extra) == 0
+            outputs[run] = [(out / f).read_bytes() for f in files]
+        assert outputs["config"] == outputs["flag"]
+        assert outputs["config"][0] != outputs["zero"][0]
+
+
 class TestGridParsing:
     def test_bad_grid_spec_exits_2(self, tmp_path, tiny_model, tiny_dataset):
         rc = cli.main(["landscape", "--model", tiny_model, "--pulses",

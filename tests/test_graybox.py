@@ -63,6 +63,22 @@ def pulse_gradient_error(model, seed=0):
     return np.linalg.norm(grad - fd) / np.linalg.norm(fd)
 
 
+def directional_errors(f, slope, h0, halvings=4):
+    """|central difference of f along a direction at step h - slope| for
+    h = h0, h0 / 2, ...; f(h) is the function at x + h v."""
+    steps = h0 / 2.0 ** np.arange(halvings)
+    return np.array([float(abs((f(h) - f(-h)) / (2.0 * h) - slope))
+                     for h in steps])
+
+
+def assert_second_order(errors, seed):
+    """The errors of a correct gradient shrink ~4x as h halves; a wrong
+    g . v leaves a floor that stops them shrinking (Farrell, Ham, Funke &
+    Rognes, SIAM J. Sci. Comput. 35, C369 (2013))."""
+    ratios = errors[:-1] / errors[1:]
+    assert (ratios >= 3.0).all(), f"seed {seed}: errors {errors}"
+
+
 def randomize_weights(model, seed, scale):
     rng = np.random.Generator(np.random.Philox(seed))
     for name in model.weights:
@@ -161,6 +177,56 @@ class TestLossAndGrad:
                                  seed=3)
         randomize_weights(m, d, scale=0.3)
         assert pulse_gradient_error(m) <= 1e-6
+
+    def test_gradient_passes_directional_taylor_test(self, model_and_batch):
+        # every weight moves at once along a random unit direction, so no
+        # single weight needs a resolvable derivative: this passes at the
+        # seeds where the single-weight check cannot resolve its sample
+        model, (thetas, sigmas, targets) = model_and_batch
+        _, grads = model.loss_and_grad(thetas, targets, sigmas)
+        base = dict(model.weights)
+        try:
+            for seed in range(30):
+                rng = np.random.default_rng(seed)
+                v = {k: rng.standard_normal(w.shape) for k, w in base.items()}
+                norm = np.sqrt(sum(np.sum(x * x) for x in v.values()))
+                slope = sum(np.sum(grads[k] * v[k]) for k in base) / norm
+
+                def loss_along(h):
+                    for k, w in base.items():
+                        model.weights[k] = w + (h / norm) * v[k]
+                    return model.loss(thetas, targets, sigmas)
+
+                assert_second_order(directional_errors(loss_along, slope,
+                                                       h0=0.1), seed)
+        finally:
+            model.weights.update(base)
+
+    @pytest.mark.parametrize("kind", ["prior-2", "prior-3", "prior-4",
+                                      "generic-3", "exact-3"])
+    def test_pulse_gradient_passes_directional_taylor_test(self, kind):
+        init, d = kind.split("-")
+        cfg = make_config(d=int(d), steps=160, realizations=6)
+        if init == "exact":
+            m = graybox.ExactClosedModel(cfg)
+        else:
+            m = graybox.GrayboxModel(cfg, seed=3)
+            if init == "generic":
+                randomize_weights(m, 3, scale=0.3)
+        targets = control.target_expectations(
+            m, control.parse_gate("X01", m.d).unitary)
+        a_max = cfg.a_max()
+        L = 2 * (m.d - 1) * m.n_max
+        for seed in range(30):
+            rng = np.random.default_rng(seed)
+            theta = rng.uniform(-0.6 * a_max, 0.6 * a_max, size=L)
+            v = rng.standard_normal(L)
+            v /= np.linalg.norm(v)
+            _, grad = m.cost_and_grad(theta, targets)
+            errors = directional_errors(
+                lambda h: m.cost_and_grad(theta + h * v, targets)[0],
+                grad @ v, h0=1e-2 * a_max)
+            assert_second_order(errors, seed)
 
     def test_loss_and_grad_consistent_with_loss(self, model, batch):
         thetas, sigmas, targets = batch

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -179,3 +181,68 @@ class TestChunks:
         _, power = noisegen.empirical_psd(spec, seed=4)
         expected = _parent_psd(noisegen.synthesize(spec, seed=4))
         assert np.array_equal(power, expected)
+
+
+def per_row_oracle(spec, seed, start, stop):
+    """Realizations [start, stop) built one at a time, each from its own
+    SeedSequence -> Philox -> Generator: the reference block synthesis must
+    match bit for bit."""
+    M = spec.steps
+    half = M // 2
+    target = spec.psd(spec.grid_frequencies())
+    df = 1.0 / spec.total_time
+    amp = np.empty(half)
+    amp[:-1] = (M / 2.0) * np.sqrt(target[:-1] * df)
+    amp[-1] = M * np.sqrt(target[-1] * df)
+    samples = np.zeros((spec.channels, stop - start, M))
+    for ch in range(spec.channels):
+        for r in range(start, stop):
+            ss = np.random.SeedSequence(entropy=seed, spawn_key=(ch, r))
+            rng = np.random.Generator(np.random.Philox(ss))
+            z = rng.standard_normal(2 * half - 1)
+            spectrum = np.zeros(half + 1, dtype=complex)
+            spectrum[1:half] = amp[:-1] * (z[0:half - 1]
+                                           + 1j * z[half - 1:2 * half - 2])
+            spectrum[half] = amp[-1] * z[-1]
+            samples[ch, r - start] = np.fft.irfft(spectrum, n=M)
+    return samples
+
+
+class TestBlocks:
+    @pytest.mark.parametrize("rows", [1, 3, 7, None])
+    @pytest.mark.parametrize("channels", [1, 3])
+    def test_equals_per_row_oracle(self, monkeypatch, rows, channels):
+        if rows is not None:
+            monkeypatch.setattr(noisegen, "_BLOCK_SAMPLES", rows * 64)
+            assert noisegen._block_rows(64) == rows
+        spec = make_spec(channels=channels, K=23, M=64)
+        for seed in (0, 2 ** 40 + 3):
+            for start, stop in [(0, 23), (5, 19), (22, 23), (7, 7)]:
+                out = noisegen.synthesize(spec, seed, start, stop).samples
+                expected = per_row_oracle(spec, seed, start, stop)
+                assert out.shape == expected.shape
+                assert np.array_equal(out, expected)
+
+    def test_equals_per_row_oracle_at_default_block(self):
+        # several full blocks of a long grid and a partial one
+        spec = make_spec(channels=2, K=40, M=4096)
+        assert noisegen._block_rows(4096) < 40
+        out = noisegen.synthesize(spec, 17, 3, 40).samples
+        assert np.array_equal(out, per_row_oracle(spec, 17, 3, 40))
+
+    def test_scratch_is_one_block_whatever_the_range(self):
+        spec = make_spec(channels=2, K=1200, M=1024)
+        block_bytes = 16 * noisegen._block_rows(1024) * 1024
+        extra = []
+        for stop in (300, 1200):
+            tracemalloc.start()
+            try:
+                out = noisegen.synthesize(spec, 1, 0, stop)
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            extra.append(peak - out.samples.nbytes)
+            del out
+        assert max(extra) <= 1.25 * block_bytes, extra
+        # four times the range, the same scratch
+        assert abs(extra[1] - extra[0]) <= 0.01 * block_bytes, extra

@@ -78,18 +78,26 @@ def _mirror(entries, d):
     return out
 
 
-def _entry(a, b, i, j):
-    """(a @ b)[i][j] for nested-list stacks, as d elementwise products."""
-    acc = a[i][0] * b[0][j]
+def _entry(a, b, i, j, work, out=None):
+    """(a @ b)[i][j] for nested-list stacks, as d elementwise products;
+    `work` is a scratch array of an entry's shape, `out` the destination
+    (a new array if None)."""
+    acc = np.multiply(a[i][0], b[0][j], out=out)
     for k in range(1, len(a)):
-        acc += a[i][k] * b[k][j]
+        acc += np.multiply(a[i][k], b[k][j], out=work)
     return acc
 
 
-def _sym_matmul(a, b):
-    """a @ b for commuting symmetric stacks (the product is symmetric)."""
+def _upper_out(out, i, j):
+    return None if out is None else out[i][j]
+
+
+def _sym_matmul(a, b, work, out=None):
+    """a @ b for commuting symmetric stacks (the product is symmetric),
+    into the symmetric stack `out` if given."""
     d = len(a)
-    return _mirror([_entry(a, b, i, j) for i, j in _upper(d)], d)
+    return _mirror([_entry(a, b, i, j, work, _upper_out(out, i, j))
+                    for i, j in _upper(d)], d)
 
 
 def _row_orders(peak):
@@ -143,58 +151,71 @@ def _char_coefs(powers):
     return [g[d - m] for m in range(d - 1)]
 
 
-def _reduce(coefs, c):
+def _reduce(coefs, c, work):
     """r_0 .. r_{d-1} with sum_k coefs[k] X^k = sum_m r_m X^m, by Horner's
     rule in X on the coefficient vector. Multiplying by X shifts it, and
     X^d = sum_m c_m X^m folds the top coefficient back: d - 1
-    multiply-adds. The top d coefficients need no step."""
+    multiply-adds. The top d coefficients need no step. The d coefficient
+    arrays are updated in place and rotate one place per step."""
     d = len(c) + 1
     start = max(0, len(coefs) - d)
     r = list(coefs[start:]) + [0.0] * (d + start - len(coefs))
+    if start:
+        r = [np.full(work.shape, value) for value in r]
     for a in reversed(coefs[:start]):
         top = r[-1]
-        r = [top * c[0]] + [r[m - 1] + top * c[m] for m in range(1, d - 1)] \
-            + [r[d - 2]]
+        # r_m <- r_{m-1} + top c_m, into r_{m-1}'s array; top's array,
+        # read by each of these, is overwritten last by r_0 = top c_0
+        for m in range(1, d - 1):
+            r[m - 1] += np.multiply(top, c[m], out=work)
+        top *= c[0]
         if a:
-            r[0] += a
+            top += a
+        r = [top] + r[:-1]
     return r
 
 
-def _combine(r, powers):
-    """sum_m r_m X^m as a symmetric stack, with powers[m] = X^m, m >= 1."""
+def _combine(r, powers, work, out=None):
+    """sum_m r_m X^m as a symmetric stack, with powers[m] = X^m, m >= 1,
+    into the symmetric stack `out` if given."""
     d = len(r)
     entries = []
     for i, j in _upper(d):
-        value = r[1] * powers[1][i][j]
+        value = np.multiply(r[1], powers[1][i][j], out=_upper_out(out, i, j))
         for m in range(2, d):
-            value += r[m] * powers[m][i][j]
+            value += np.multiply(r[m], powers[m][i][j], out=work)
         if i == j:
             value += r[0]
         entries.append(value)
     return _mirror(entries, d)
 
 
-def _cos_neg_sin(x, degree, squarings):
+def _cos_neg_sin(x, degree, squarings, out=(None, None)):
     """(cos X, -sin X) for a traceless symmetric stack X, both symmetric
     stacks, by the degree-`degree` polynomials at X / 2^squarings and
-    double-angle steps."""
+    double-angle steps. The last operation writes into the stacks `out`
+    holds, where given."""
     d = len(x)
     if squarings:
         scale = 2.0 ** -squarings
         x = _mirror([x[i][j] * scale for i, j in _upper(d)], d)
+    # one scratch array for every elementwise product below
+    work = np.empty(x[0][0].shape)
     powers = [None, x]
     while len(powers) < d:
-        powers.append(_sym_matmul(powers[-1], x))
+        powers.append(_sym_matmul(powers[-1], x, work))
     c = _char_coefs(powers)
     # the Taylor coefficients in X: cos is even, -sin X = X (-sin X / X) odd
     cos_x = [a for n in _COS[:degree + 1] for a in (n, 0.0)][:-1]
     neg_sin_x = [a for n in _NEG_SINC[:degree + 1] for a in (0.0, n)]
-    cos = _combine(_reduce(cos_x, c), powers)
-    neg_sin = _combine(_reduce(neg_sin_x, c), powers)
-    for _ in range(squarings):
+    final = out if not squarings else (None, None)
+    cos = _combine(_reduce(cos_x, c, work), powers, work, final[0])
+    neg_sin = _combine(_reduce(neg_sin_x, c, work), powers, work, final[1])
+    for step in range(squarings):
         # cos 2X = 2 cos^2 X - I, sin 2X = 2 sin X cos X
-        neg_sin = _sym_matmul(neg_sin, cos)
-        cos = _sym_matmul(cos, cos)
+        final = out if step == squarings - 1 else (None, None)
+        neg_sin = _sym_matmul(neg_sin, cos, work, final[1])
+        cos = _sym_matmul(cos, cos, work, final[0])
         for i, j in _upper(d):
             neg_sin[i][j] *= 2.0
             cos[i][j] *= 2.0
@@ -221,7 +242,7 @@ def _step_unitaries(drift_diag, coupling, waves, noise_diags, dt):
     x = [[None] * d for _ in range(d)]
     peak = [[None] * d for _ in range(d)]
     for i in range(d):
-        x[i][i] = dt * (levels[i] - mu)
+        x[i][i] = dt * (levels.pop(0) - mu)  # each level freed once used
         peak[i][i] = np.abs(x[i][i]).max(axis=-1)
         for j in range(i + 1, d):
             # a shared wave's bound is taken once, before the rows copy it
@@ -232,20 +253,20 @@ def _step_unitaries(drift_diag, coupling, waves, noise_diags, dt):
             peak[i][j] = peak[j][i] = np.abs(off).max(axis=-1)
     orders = _row_orders(peak)
     groups = sorted(set(orders))
-    entries = None
+    u = _mirror([np.empty((R, M), dtype=complex) for _ in _upper(d)], d)
+    if len(groups) == 1:
+        # the last operation writes cos and -sin into the complex entries
+        _cos_neg_sin(x, *groups[0], out=([[e.real for e in row] for row in u],
+                                         [[e.imag for e in row] for row in u]))
+        return u, mu
     for degree, squarings in groups:
-        if len(groups) == 1:
-            rows, xg = slice(None), x
-        else:
-            rows = np.flatnonzero([o == (degree, squarings) for o in orders])
-            xg = _mirror([x[i][j][rows] for i, j in _upper(d)], d)
+        rows = np.flatnonzero([o == (degree, squarings) for o in orders])
+        xg = _mirror([x[i][j][rows] for i, j in _upper(d)], d)
         cos, neg_sin = _cos_neg_sin(xg, degree, squarings)
-        if entries is None:
-            entries = [np.empty((R, M), dtype=complex) for _ in _upper(d)]
-        for (i, j), u in zip(_upper(d), entries):
-            u.real[rows] = cos[i][j]
-            u.imag[rows] = neg_sin[i][j]
-    return _mirror(entries, d), mu
+        for i, j in _upper(d):
+            u[i][j].real[rows] = cos[i][j]
+            u[i][j].imag[rows] = neg_sin[i][j]
+    return u, mu
 
 
 def _product(a, b):
@@ -267,13 +288,18 @@ def _chain(u):
     """
     d = len(u)
     leftovers = []
+    # one scratch buffer for every nested-list level's products
+    rows, steps = u[0][0].shape
+    buffer = np.empty(rows * (steps // 2), dtype=u[0][0].dtype)
     while u[0][0].size >= _STACK_BELOW and u[0][0].shape[1] > 1:
         if u[0][0].shape[1] % 2 == 1:
             leftovers.append(np.array([[e[:, -1] for e in row] for row in u]))
             u = [[e[:, :-1] for e in row] for row in u]
         later = [[e[:, 1::2] for e in row] for row in u]
         earlier = [[e[:, 0::2] for e in row] for row in u]
-        u = [[_entry(later, earlier, i, j) for j in range(d)]
+        shape = later[0][0].shape
+        work = buffer[:shape[0] * shape[1]].reshape(shape)
+        u = [[_entry(later, earlier, i, j, work) for j in range(d)]
              for i in range(d)]
     stack = np.array(u)
     while stack.shape[-1] > 1:

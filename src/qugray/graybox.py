@@ -11,6 +11,19 @@ enforce the parameter bounds structurally: sigmoids for (r, Theta/2pi,
 Psi/2pi), tanh for x, softmax for p. Whatever the weights, the emitted
 W = Q D Q^H is a valid bounded noise operator.
 
+Plane-rotation heads: Q = U_0 U_1 ... U_{m-1} is an ordered product of
+two-level factors, one per level pair (p, q) (Reck, Zeilinger, Bernstein &
+Bertani, PRL 73, 58 (1994); learned as in Youssry et al., npj Quantum Inf.
+6, 95 (2020)). Right-multiplying by U_l changes only columns p and q, so
+each prefix U_0 ... U_l is two column updates of the one before, on the
+whole (batch, observable) stack at once; no d x d factor is formed. The
+backward pass sweeps T = G_Q (U_{l+1} ... U_{m-1})^H from the last factor
+down by the same two-column update, T <- T U_l^H, and forms only the (p, q)
+block of each factor's cotangent, sum_c conj(prefix_{l-1}[c, a]) T[c, b].
+The two remaining products, W = (Q D) Q^H and G_W Q, are d broadcast
+multiply-adds over the leading axes (`_mm`): np.matmul would multiply the
+stack one small matrix at a time.
+
 Whitebox: with V_O = O~^-1 W_O, the expectation identity
 <O> = tr(V_O U0 rho U0^H O~) - shift = Re tr(W_O U0 rho U0^H) - shift is
 evaluated over the informationally complete state/observable grid in the
@@ -50,9 +63,13 @@ _GATES = ("z", "r", "h")
 _V1_STACKED = ("obs.Wz", "obs.bz", "obs.Wh", "obs.bh", "head.W", "head.b")
 
 
-def _sigmoid(x):
-    # branch-free, and no overflow for any x
-    return 0.5 * (1.0 + np.tanh(0.5 * x))
+def _sigmoid(x, out=None):
+    # 0.5 (1 + tanh(x / 2)): branch-free, and no overflow for any x
+    out = np.multiply(0.5, x, out=out)
+    np.tanh(out, out=out)
+    out += 1.0
+    out *= 0.5
+    return out
 
 
 def _softmax(x):
@@ -66,10 +83,23 @@ def _unflatten(config, theta):
                                         config.dim, config.n_max)
 
 
-def _states(kets, u0):
-    """The evolved states psi_s = U_0 q_s and sigma_s = psi_s psi_s^H."""
-    psi = kets @ u0.T  # (S, d)
-    return psi, np.einsum("sa,sb->sab", psi, psi.conj())
+def _mm(a, b):
+    """a @ b for stacks of small matrices, as d broadcast products summed
+    in order of the inner index: np.matmul multiplies such a stack one
+    matrix at a time."""
+    out = a[..., :, 0, None] * b[..., None, 0, :]
+    for j in range(1, a.shape[-1]):
+        out += a[..., :, j, None] * b[..., None, j, :]
+    return out
+
+
+def _states(kets, u0s):
+    """The evolved states psi_s = U_0 q_s and sigma_s = psi_s psi_s^H for a
+    (B, d, d) stack of U_0 -> (B, S, d), (B, S, d, d). Elementwise products
+    summed in a fixed order, so a pulse's states are the same bits whatever
+    else is in the stack."""
+    psi = _mm(kets, u0s.swapaxes(-1, -2))
+    return psi, psi[..., :, None] * psi.conj()[..., None, :]
 
 
 def _state_pullback(config, tape, kets, psi, g, W):
@@ -214,7 +244,7 @@ class GrayboxModel:
         """sigma_s = U0 |q_s><q_s| U0^H for one flattened pulse vector."""
         u0 = dynamics.propagate_closed(self.config,
                                        _unflatten(self.config, theta))
-        return _states(self._kets, u0)[1]
+        return _states(self._kets, u0[None])[1][0]
 
     # -- blackbox forward --------------------------------------------------
 
@@ -279,11 +309,15 @@ class GrayboxModel:
         what the backward pass reads, all on leading axes (B, n_obs)."""
         w = self.weights
         B, H, O, d = h_enc.shape[0], self.hidden, self.n_obs, self.d
-        az = (h_enc @ w["obs.Wz"].reshape(O * H, H).T).reshape(B, O, H)
-        ah = (h_enc @ w["obs.Wh"].reshape(O * H, H).T).reshape(B, O, H)
-        z = _sigmoid(az + w["obs.bz"])
-        hbar = np.tanh(ah + w["obs.bh"])
-        h_o = (1.0 - z) * hbar
+        # (B, O, H) pre-activations, then activations in place
+        z = (h_enc @ w["obs.Wz"].reshape(O * H, H).T).reshape(B, O, H)
+        hbar = (h_enc @ w["obs.Wh"].reshape(O * H, H).T).reshape(B, O, H)
+        z += w["obs.bz"]
+        _sigmoid(z, out=z)
+        hbar += w["obs.bh"]
+        np.tanh(hbar, out=hbar)
+        omz = 1.0 - z
+        h_o = omz * hbar
         y = np.matmul(h_o.transpose(1, 0, 2), w["head.W"].transpose(0, 2, 1))
         y = y.transpose(1, 0, 2) + w["head.b"]  # (B, O, head_width)
         m3 = 3 * self.n_pairs
@@ -295,34 +329,39 @@ class GrayboxModel:
         # s = sqrt(1 - r^2) = sqrt(sigmoid(-y) (1 + r)): 1 - r^2 would cancel
         # near the identity prior, where r = 1 - 1e-4
         s = np.sqrt(np.exp(-np.logaddexp(0.0, y[..., 0:m3:3])) * (1.0 + r))
-        eth, eps_, factors, prefixes = self._build_q(r, s, theta, psi)
+        eth, eps_, prefixes = self._build_q(r, s, theta, psi)
         Q = prefixes[-1]
         dd = d * (p * x)  # diagonal of D
-        W = (Q * dd[..., None, :]) @ Q.conj().swapaxes(-1, -2)
-        return {"h_enc": h_enc, "z": z, "hbar": hbar, "h_o": h_o, "sig": sig,
+        W = _mm(Q * dd[..., None, :], Q.conj().swapaxes(-1, -2))
+        return {"h_enc": h_enc, "z": z, "omz": omz, "hbar": hbar, "h_o": h_o,
+                "sig": sig,
                 "r": r, "theta": theta, "psi": psi, "x": x, "p": p, "s": s,
-                "eth": eth, "eps": eps_, "factors": factors,
-                "prefixes": prefixes, "Q": Q, "dd": dd, "W": W}
+                "eth": eth, "eps": eps_, "prefixes": prefixes, "Q": Q,
+                "dd": dd, "W": W}
 
     def _build_q(self, r, s, theta, psi):
-        """(..., m) params, s = sqrt(1 - r^2) -> the embedded subunitary
-        factors U_l and their left-prefix products U_0 ... U_l, both
-        (m, ..., d, d), with the phases e^{i Theta}, e^{i Psi}."""
+        """(..., m) params, s = sqrt(1 - r^2) -> the phases e^{i Theta},
+        e^{i Psi} and the left-prefix products U_0 ... U_l of the embedded
+        two-level factors, (m, ..., d, d). Right-multiplying by U_l, whose
+        (p, q) block is [[r e^{i Theta}, s e^{i Psi}],
+        [-s e^{-i Psi}, r e^{-i Theta}]], mixes columns p and q alone."""
         d = self.d
         eth = np.exp(1j * theta)
         eps_ = np.exp(1j * psi)
-        shape = (self.n_pairs,) + r.shape[:-1] + (d, d)
-        factors = np.broadcast_to(np.eye(d, dtype=complex), shape).copy()
+        prefixes = np.empty((self.n_pairs,) + r.shape[:-1] + (d, d),
+                            dtype=complex)
+        prev = np.broadcast_to(np.eye(d, dtype=complex), prefixes.shape[1:])
         for l, (p, q) in enumerate(noiseop.pair_order(d)):
-            factors[l, ..., p, p] = r[..., l] * eth[..., l]
-            factors[l, ..., p, q] = s[..., l] * eps_[..., l]
-            factors[l, ..., q, p] = -s[..., l] * eps_[..., l].conj()
-            factors[l, ..., q, q] = r[..., l] * eth[..., l].conj()
-        prefixes = np.empty_like(factors)
-        prefixes[0] = factors[0]
-        for l in range(1, self.n_pairs):
-            np.matmul(prefixes[l - 1], factors[l], out=prefixes[l])
-        return eth, eps_, factors, prefixes
+            a, b = r[..., l, None] * eth[..., l, None], \
+                s[..., l, None] * eps_[..., l, None]
+            c, e = -s[..., l, None] * eps_[..., l, None].conj(), \
+                r[..., l, None] * eth[..., l, None].conj()
+            prefixes[l] = prev
+            col_p, col_q = prev[..., :, p], prev[..., :, q]
+            prefixes[l, ..., :, p] = col_p * a + col_q * c
+            prefixes[l, ..., :, q] = col_p * b + col_q * e
+            prev = prefixes[l]
+        return eth, eps_, prefixes
 
     def forward_batch(self, thetas, sigma_stacks):
         """Batched expectations (B, S * n_obs) in the dataset ordering, and
@@ -368,8 +407,9 @@ class GrayboxModel:
         theta = np.asarray(theta, dtype=float)
         u0, tape = dynamics.closed_forward(self.config,
                                            _unflatten(self.config, theta))
-        psi, sigma = _states(self._kets, u0)
-        pred, caches = self.forward_batch(theta[None], sigma[None])
+        psi, sigma = _states(self._kets, u0[None])
+        psi = psi[0]
+        pred, caches = self.forward_batch(theta[None], sigma)
         resid = pred[0] - targets
         g = 2.0 * resid.reshape(-1, self.n_obs)
         _, g_theta = self._backward(caches, g[None])
@@ -394,25 +434,69 @@ class GrayboxModel:
         w = self.weights
         B, O, H = cache["h_o"].shape
         d = self.d
-        pairs = noiseop.pair_order(d)
+        g_sig, g_dd = self._q_back(cache, G_W)
+        # activations back to the dense-layer pre-activations
+        sig, x, p = cache["sig"], cache["x"], cache["p"]
+        m3 = 3 * self.n_pairs
+        gy = np.empty((B, O, self.head_width))
+        gy[..., :m3] = g_sig * np.tile([1.0, 2.0 * np.pi, 2.0 * np.pi],
+                                       self.n_pairs) * sig * (1.0 - sig)
+        gy[..., m3:m3 + d] = g_dd * d * p * (1.0 - x ** 2)
+        gp = g_dd * d * x
+        gy[..., m3 + d:] = p * (gp - (gp * p).sum(axis=-1, keepdims=True))
+        # dense layer, one product per observable on the stacked weights
+        gy_o = gy.transpose(1, 0, 2)  # (O, B, head_width)
+        grads["head.W"] = gy_o.transpose(0, 2, 1) @ cache["h_o"].transpose(
+            1, 0, 2)
+        grads["head.b"] = gy.sum(axis=0)
+        gh_o = (gy_o @ w["head.W"]).transpose(1, 0, 2)  # (B, O, H)
+        # gated cell h_o = (1 - z) * hbar, in place in the order of
+        # gaz = -gh_o hbar z (1 - z) and gah = gh_o (1 - z) (1 - hbar^2)
+        z, omz, hbar = cache["z"], cache["omz"], cache["hbar"]
+        gaz = np.negative(gh_o, out=np.empty((B, O, H)))
+        gaz *= hbar
+        gaz *= z
+        gaz *= omz
+        gah = np.multiply(gh_o, omz, out=np.empty((B, O, H)))
+        dtanh = np.square(hbar)
+        gah *= np.subtract(1.0, dtanh, out=dtanh)
+        gaz, gah = gaz.reshape(B, O * H), gah.reshape(B, O * H)
+        h_enc = cache["h_enc"]
+        grads["obs.Wz"] = (gaz.T @ h_enc).reshape(O, H, H)
+        grads["obs.bz"] = gaz.sum(axis=0).reshape(O, H)
+        grads["obs.Wh"] = (gah.T @ h_enc).reshape(O, H, H)
+        grads["obs.bh"] = gah.sum(axis=0).reshape(O, H)
+        return (gaz @ w["obs.Wz"].reshape(O * H, H)
+                + gah @ w["obs.Wh"].reshape(O * H, H))
+
+    def _q_back(self, cache, G_W):
+        """Reverse of W = Q D Q^H for Hermitian G_W (B, n_obs, d, d) ->
+        dL/d(r, Theta, Psi) per pair, (B, n_obs, 3 m), and dL/d diag(D)."""
+        pairs = noiseop.pair_order(self.d)
         Q, dd = cache["Q"], cache["dd"]
-        GQ = G_W @ Q
+        GQ = _mm(G_W, Q)
         # D diagonal: dL/d dd_i = 2 Re (Q^H G_W Q)_ii
         g_dd = 2.0 * (Q.conj() * GQ).real.sum(axis=-2)
-        # G_Q = (G_W + G_W^H) Q D = 2 G_W Q D for Hermitian G_W
-        G_Q = 2.0 * GQ * dd[..., None, :]
-        # distribute over the ordered factors
-        factors, prefixes = cache["factors"], cache["prefixes"]
+        # G_Q = (G_W + G_W^H) Q D = 2 G_W Q D for Hermitian G_W. With
+        # Q = P_{l-1} U_l S_l (prefix, factor, suffix), G_U_l =
+        # P_{l-1}^H T_l for T_l = G_Q S_l^H; T is swept from the last factor
+        # down by T_{l-1} = T_l U_l^H, which mixes columns p and q alone, and
+        # only the (p, q) block of G_U_l is formed.
+        T = 2.0 * GQ * dd[..., None, :]
+        prefixes = cache["prefixes"]
         r, s = cache["r"], cache["s"]
         g_sig = np.empty(cache["sig"].shape)  # dL/d(r, Theta, Psi) per pair
-        suffix = np.broadcast_to(np.eye(d, dtype=complex), Q.shape)
         for l in range(len(pairs) - 1, -1, -1):
-            G_U = G_Q @ suffix.conj().swapaxes(-1, -2)
-            if l > 0:
-                G_U = prefixes[l - 1].conj().swapaxes(-1, -2) @ G_U
             p_, q_ = pairs[l]
-            g00, g01 = G_U[..., p_, p_], G_U[..., p_, q_]
-            g10, g11 = G_U[..., q_, p_], G_U[..., q_, q_]
+            t_p, t_q = T[..., :, p_], T[..., :, q_]
+            if l > 0:
+                pc_p = prefixes[l - 1, ..., :, p_].conj()
+                pc_q = prefixes[l - 1, ..., :, q_].conj()
+                g00, g01 = (pc_p * t_p).sum(axis=-1), (pc_p * t_q).sum(axis=-1)
+                g10, g11 = (pc_q * t_p).sum(axis=-1), (pc_q * t_q).sum(axis=-1)
+            else:
+                g00, g01 = t_p[..., p_], t_q[..., p_]
+                g10, g11 = t_p[..., q_], t_q[..., q_]
             eth, eps_ = cache["eth"][..., l], cache["eps"][..., l]
             rl, sl = r[..., l], s[..., l]
             s_safe = np.maximum(sl, 1e-150)
@@ -427,33 +511,15 @@ class GrayboxModel:
             g_sig[..., 3 * l + 2] = 2.0 * (
                 g01.conj() * 1j * sl * eps_
                 + g10.conj() * 1j * sl * eps_.conj()).real
-            suffix = factors[l] @ suffix
-        # activations back to the dense-layer pre-activations
-        sig, x, p = cache["sig"], cache["x"], cache["p"]
-        m3 = 3 * len(pairs)
-        gy = np.empty((B, O, self.head_width))
-        gy[..., :m3] = g_sig * np.tile([1.0, 2.0 * np.pi, 2.0 * np.pi],
-                                       len(pairs)) * sig * (1.0 - sig)
-        gy[..., m3:m3 + d] = g_dd * d * p * (1.0 - x ** 2)
-        gp = g_dd * d * x
-        gy[..., m3 + d:] = p * (gp - (gp * p).sum(axis=-1, keepdims=True))
-        # dense layer, one product per observable on the stacked weights
-        gy_o = gy.transpose(1, 0, 2)  # (O, B, head_width)
-        grads["head.W"] = gy_o.transpose(0, 2, 1) @ cache["h_o"].transpose(
-            1, 0, 2)
-        grads["head.b"] = gy.sum(axis=0)
-        gh_o = (gy_o @ w["head.W"]).transpose(1, 0, 2)  # (B, O, H)
-        # gated cell h_o = (1 - z) * hbar
-        z, hbar = cache["z"], cache["hbar"]
-        gaz = (-gh_o * hbar * z * (1.0 - z)).reshape(B, O * H)
-        gah = (gh_o * (1.0 - z) * (1.0 - hbar ** 2)).reshape(B, O * H)
-        h_enc = cache["h_enc"]
-        grads["obs.Wz"] = (gaz.T @ h_enc).reshape(O, H, H)
-        grads["obs.bz"] = gaz.sum(axis=0).reshape(O, H)
-        grads["obs.Wh"] = (gah.T @ h_enc).reshape(O, H, H)
-        grads["obs.bh"] = gah.sum(axis=0).reshape(O, H)
-        return (gaz @ w["obs.Wz"].reshape(O * H, H)
-                + gah @ w["obs.Wh"].reshape(O * H, H))
+            if l > 0:
+                # U_l^H's (p, q) block: [[conj a, conj c], [conj b, conj e]]
+                # for U_l's [[a, b], [c, e]]
+                a_c, b_c = (rl * eth.conj())[..., None], \
+                    (sl * eps_.conj())[..., None]
+                c_c, e_c = (-sl * eps_)[..., None], (rl * eth)[..., None]
+                t_p, t_q = t_p * a_c + t_q * b_c, t_p * c_c + t_q * e_c
+                T[..., :, p_], T[..., :, q_] = t_p, t_q
+        return g_sig, g_dd
 
     # -- public single-pulse API -------------------------------------------
 
@@ -493,11 +559,7 @@ class GrayboxModel:
         """sigma stacks for many pulses; U_0 has no weights so this runs once.
         Row i is state_stack(thetas[i]), bit for bit."""
         u0s = dynamics.propagate_closed_batch(self.config, thetas)
-        sigmas = np.empty((len(u0s), self._kets.shape[0], self.d, self.d),
-                          dtype=complex)
-        for i, u0 in enumerate(u0s):
-            sigmas[i] = _states(self._kets, u0)[1]
-        return sigmas
+        return _states(self._kets, u0s)[1]
 
     def train(self, examples, manifest, hyper=None, log_every=None):
         hyper = hyper or TrainingHyper()
@@ -513,6 +575,9 @@ class GrayboxModel:
         rng = streams.generator(hyper.seed, streams.TRAINING_BATCHES)
         mom = {k: np.zeros_like(v) for k, v in self.weights.items()}
         vel = {k: np.zeros_like(v) for k, v in self.weights.items()}
+        # scratch for the update terms, so each step allocates nothing
+        work = {k: (np.empty_like(v), np.empty_like(v))
+                for k, v in self.weights.items()}
         record = TrainingRecord(seed=hyper.seed,
                                 dataset_hash=manifest.get("config_hash", ""))
         self.dataset_hash = record.dataset_hash
@@ -547,10 +612,21 @@ class GrayboxModel:
             if it > hyper.decay_at * hyper.iterations:
                 step *= hyper.decay_factor
             for name, g in grads.items():
-                mom[name] = hyper.beta1 * mom[name] + (1 - hyper.beta1) * g
-                vel[name] = hyper.beta2 * vel[name] + (1 - hyper.beta2) * g * g
-                self.weights[name] -= step * (mom[name] / b1c) / (
-                    np.sqrt(vel[name] / b2c) + hyper.eps)
+                # in place, in the order of m = beta1 m + (1 - beta1) g,
+                # v = beta2 v + (1 - beta2) g g and
+                # w -= step (m / b1c) / (sqrt(v / b2c) + eps)
+                m, v, (a, b) = mom[name], vel[name], work[name]
+                m *= hyper.beta1
+                m += np.multiply(1 - hyper.beta1, g, out=a)
+                v *= hyper.beta2
+                np.multiply(1 - hyper.beta2, g, out=a)
+                v += np.multiply(a, g, out=a)
+                np.divide(m, b1c, out=a)
+                a *= step
+                np.divide(v, b2c, out=b)
+                np.sqrt(b, out=b)
+                b += hyper.eps
+                self.weights[name] -= np.divide(a, b, out=a)
             test_loss = (float(self.loss(thetas[te], targets[te],
                                          sigmas[te]))
                          if n_test > 0 else float("nan"))
@@ -607,8 +683,8 @@ class GrayboxModel:
     @classmethod
     def load(cls, path):
         """Read a model file of version 2, or of version 1 (one block set per
-        observable); a file that does not fit the model its header describes
-        raises DatasetIOError."""
+        observable); a file that does not fit the model its header describes,
+        or holds a NaN or infinite weight, raises DatasetIOError."""
         try:
             with open(path, "rb") as fh:
                 data = fh.read()
@@ -643,6 +719,9 @@ class GrayboxModel:
             blocks[name] = np.frombuffer(data, "<f8", count, offset).reshape(
                 shape).astype(float)
             offset += 8 * count
+            if not np.isfinite(blocks[name]).all():
+                raise DatasetIOError(f"{path}: weight block {name} holds a "
+                                     "non-finite value")
         if header["version"] == 1:
             live = {n: blocks[n] for n in layout if n.startswith("enc.")}
             for name in _V1_STACKED:

@@ -3,6 +3,7 @@ the exit-code contract, and output determinism."""
 
 import json
 import os
+import struct
 import subprocess
 import sys
 import tracemalloc
@@ -240,6 +241,27 @@ class TestLandscapeExpand:
         assert len(data["expansions"]) == 3  # d^2 - 1 observables for d = 2
         X0 = data["expansions"][0]["coefficients"][0]
         assert np.array(X0).shape == (2, 2, 2)  # re/im pairs
+
+    def test_non_finite_model_exits_3(self, tmp_path, tiny_model,
+                                      tiny_dataset):
+        # a NaN weight would otherwise reach the JSON as bare NaN tokens
+        with open(tiny_model, "rb") as fh:
+            data = bytearray(fh.read())
+        (hlen,) = struct.unpack_from("<Q", data, 8)
+        offset = 16 + hlen
+        for spec in json.loads(data[16:16 + hlen])["blocks"]:
+            if spec["name"] == "head.b":
+                break
+            offset += 8 * int(np.prod(spec["shape"]))
+        data[offset:offset + 8] = struct.pack("<d", np.nan)
+        bad = tmp_path / "nan.qgm"
+        bad.write_bytes(bytes(data))
+        out = tmp_path / "exp.json"
+        rc = cli.main(["expand", "--model", str(bad), "--dataset",
+                       tiny_dataset, "--pulse-id", "1", "--order", "2",
+                       "--out", str(out)])
+        assert rc == 3
+        assert not out.exists()
 
     def test_bad_pulse_id_exits_2(self, tmp_path, tiny_model, tiny_dataset):
         rc = cli.main(["expand", "--model", tiny_model, "--dataset",

@@ -152,6 +152,105 @@ class TestArchitecture:
                 seq[n, 0], params.amplitudes[n].reshape(-1))
 
 
+class DenseHeadsModel(graybox.GrayboxModel):
+    """The heads' dense formulation, kept as an oracle: every factor U_l
+    embedded as a d x d matrix, prefixes by np.matmul, and G_U_l =
+    P_{l-1}^H G_Q S_l^H with the suffix S_l carried by a matrix product."""
+
+    def dense_factors(self, r, s, eth, eps_):
+        d = self.d
+        shape = (self.n_pairs,) + r.shape[:-1] + (d, d)
+        factors = np.broadcast_to(np.eye(d, dtype=complex), shape).copy()
+        for l, (p, q) in enumerate(noiseop.pair_order(d)):
+            factors[l, ..., p, p] = r[..., l] * eth[..., l]
+            factors[l, ..., p, q] = s[..., l] * eps_[..., l]
+            factors[l, ..., q, p] = -s[..., l] * eps_[..., l].conj()
+            factors[l, ..., q, q] = r[..., l] * eth[..., l].conj()
+        return factors
+
+    def _build_q(self, r, s, theta, psi):
+        eth, eps_ = np.exp(1j * theta), np.exp(1j * psi)
+        factors = self.dense_factors(r, s, eth, eps_)
+        prefixes = np.empty_like(factors)
+        prefixes[0] = factors[0]
+        for l in range(1, self.n_pairs):
+            np.matmul(prefixes[l - 1], factors[l], out=prefixes[l])
+        return eth, eps_, prefixes
+
+    def _q_back(self, cache, G_W):
+        d = self.d
+        pairs = noiseop.pair_order(d)
+        Q, dd = cache["Q"], cache["dd"]
+        r, s = cache["r"], cache["s"]
+        factors = self.dense_factors(r, s, cache["eth"], cache["eps"])
+        prefixes = cache["prefixes"]
+        GQ = G_W @ Q
+        g_dd = 2.0 * (Q.conj() * GQ).real.sum(axis=-2)
+        G_Q = 2.0 * GQ * dd[..., None, :]
+        g_sig = np.empty(cache["sig"].shape)
+        suffix = np.broadcast_to(np.eye(d, dtype=complex), Q.shape)
+        for l in range(len(pairs) - 1, -1, -1):
+            G_U = G_Q @ suffix.conj().swapaxes(-1, -2)
+            if l > 0:
+                G_U = prefixes[l - 1].conj().swapaxes(-1, -2) @ G_U
+            p_, q_ = pairs[l]
+            g00, g01 = G_U[..., p_, p_], G_U[..., p_, q_]
+            g10, g11 = G_U[..., q_, p_], G_U[..., q_, q_]
+            eth, eps_ = cache["eth"][..., l], cache["eps"][..., l]
+            rl, sl = r[..., l], s[..., l]
+            s_safe = np.maximum(sl, 1e-150)
+            g_sig[..., 3 * l] = 2.0 * (
+                (g00.conj() * eth + g11.conj() * eth.conj()).real
+                + (g01.conj() * eps_ - g10.conj() * eps_.conj()).real
+                * (-rl / s_safe))
+            g_sig[..., 3 * l + 1] = 2.0 * (
+                g00.conj() * 1j * rl * eth
+                - g11.conj() * 1j * rl * eth.conj()).real
+            g_sig[..., 3 * l + 2] = 2.0 * (
+                g01.conj() * 1j * sl * eps_
+                + g10.conj() * 1j * sl * eps_.conj()).real
+            suffix = factors[l] @ suffix
+        return g_sig, g_dd
+
+
+def assert_close_to_oracle(new, ref, name):
+    scale = max(1.0, float(np.abs(ref).max()))
+    err = float(np.abs(new - ref).max())
+    assert err <= 1e-12 * scale, f"{name}: {err:.3e} at scale {scale:.3e}"
+
+
+class TestPlaneRotationHeads:
+    @pytest.mark.parametrize("d", [2, 3, 4])
+    def test_matches_dense_oracle(self, d):
+        cfg = make_config(d=d, steps=160, realizations=6)
+        m = graybox.GrayboxModel(cfg, hidden=12, seed=7)
+        rng = randomize_weights(m, 40 + d, scale=1.0)
+        oracle = DenseHeadsModel(cfg, hidden=12, seed=7)
+        oracle.weights = m.weights
+        thetas = rng.uniform(-3, 3, size=(5, 2 * (d - 1) * m.n_max))
+        h_enc = m._encode(thetas)[0]
+        new, ref = m._heads(h_enc), oracle._heads(h_enc)
+        assert m.n_pairs == d * (d - 1) // 2
+        for key in ("Q", "prefixes"):
+            assert_close_to_oracle(new[key], ref[key], key)
+        Q, dd = ref["Q"], ref["dd"]
+        assert_close_to_oracle(new["W"], (Q * dd[..., None, :])
+                               @ Q.conj().swapaxes(-1, -2), "W")
+        G = rng.normal(size=Q.shape) + 1j * rng.normal(size=Q.shape)
+        G_W = G + G.conj().swapaxes(-1, -2)
+        for got, want, name in zip(m._q_back(new, G_W),
+                                   oracle._q_back(ref, G_W),
+                                   ("g_sig", "g_dd")):
+            assert_close_to_oracle(got, want, name)
+        grads, grads_ref = {}, {}
+        gh = m._heads_back(new, G_W, grads)
+        gh_ref = oracle._heads_back(ref, G_W, grads_ref)
+        assert_close_to_oracle(gh, gh_ref, "encoder-state cotangent")
+        assert sorted(grads) == sorted(grads_ref)
+        for name in grads:
+            assert_close_to_oracle(grads[name], grads_ref[name], name)
+
+
 class TestLossAndGrad:
     def test_zero_loss_at_targets(self, model, batch):
         thetas, sigmas, _ = batch
@@ -343,6 +442,22 @@ class TestCheckpoint:
             spec["name"] = "extra.W"
         write_model_file(path, header, payload)
         with pytest.raises(DatasetIOError):
+            graybox.GrayboxModel.load(path)
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_non_finite_weight_rejected(self, model, tmp_path, value):
+        path = tmp_path / "model.qgm"
+        model.save(path)
+        header, payload = split_model_file(path.read_bytes())
+        offset = 0
+        for spec in header["blocks"]:
+            if spec["name"] == "head.b":
+                break
+            offset += 8 * int(np.prod(spec["shape"]))
+        payload = bytearray(payload)
+        payload[offset + 8:offset + 16] = struct.pack("<d", value)
+        write_model_file(path, header, bytes(payload))
+        with pytest.raises(DatasetIOError, match="head.b"):
             graybox.GrayboxModel.load(path)
 
     def test_version1_file_loads(self, model, batch, tmp_path):

@@ -7,7 +7,9 @@ embed the owning config hash. Exit codes: 0 ok, 2 usage/config, 3 I/O,
 """
 
 import argparse
+import dataclasses
 import json
+import math
 import os
 import sys
 import time
@@ -43,6 +45,8 @@ def _parse_grid(spec):
             from exc
     if num < 1:
         raise InvalidConfigError(f"grid spec {spec!r} needs a count >= 1")
+    if not (math.isfinite(lo) and math.isfinite(hi)):
+        raise InvalidConfigError(f"grid spec {spec!r} needs finite bounds")
     return np.linspace(lo, hi, num)
 
 
@@ -92,14 +96,23 @@ def cmd_train(args):
     return 0
 
 
-def _check_eval_k(eval_k):
+def _validate_eval_k(eval_k):
     if eval_k is not None and eval_k < 1:
         raise InvalidConfigError(f"--eval-k {eval_k}: the fidelity needs at "
                                  "least 1 noise realization")
 
 
+def _with_eval_k(cfg, eval_k):
+    """cfg with eval_k noise realizations (None keeps its own); streams are
+    keyed per realization, so the first eval_k are the same bits."""
+    return cfg if eval_k is None else dataclasses.replace(
+        cfg, noise=dataclasses.replace(cfg.noise, realizations=eval_k))
+
+
 def cmd_optimize(args):
-    _check_eval_k(args.eval_k)
+    _validate_eval_k(args.eval_k)
+    if args.iters < 0:
+        raise InvalidConfigError(f"--iters {args.iters}: needs >= 0")
     model = graybox.GrayboxModel.load(args.model)
     gate = control.parse_gate(args.gate, model.d)
     # every eval config is loaded and checked before the optimization runs
@@ -110,18 +123,18 @@ def cmd_optimize(args):
             raise InvalidConfigError(
                 f"eval config {entry} has d={cfg_i.dim}, n_max={cfg_i.n_max}; "
                 f"the model has d={model.d}, n_max={model.n_max}")
-        eval_configs.append((entry, cfg_i))
+        eval_configs.append((entry, _with_eval_k(cfg_i, args.eval_k)))
     result = control.optimize_gate(model, gate, restarts=args.restarts,
                                    seed=args.seed, max_iters=args.iters,
                                    workers=args.workers)
     closed_cfg = dynamics.SystemConfig.from_dict(
         dict(model.config.to_dict(), g_rad_s=[0.0] * model.d))
     result.fidelity_closed = control.evaluate_fidelity(
-        closed_cfg, result.theta_star, gate)
+        closed_cfg, [result.theta_star], gate)[0]
     result.fidelities["closed"] = result.fidelity_closed
     for entry, cfg_i in eval_configs:
         result.fidelities[entry] = control.evaluate_fidelity(
-            cfg_i, result.theta_star, gate, k_eval=args.eval_k)
+            cfg_i, [result.theta_star], gate)[0]
     control.save_result(result, args.out)
     print(f"{gate.name}: cost {result.cost:.3e}, "
           f"closed infidelity {1 - result.fidelity_closed:.3e} "
@@ -163,7 +176,11 @@ def _load_optimized(path, expected_len):
 
 
 def cmd_landscape(args):
-    _check_eval_k(args.eval_k)
+    _validate_eval_k(args.eval_k)
+    grid = _parse_grid(args.grid)
+    if args.fid_epsilon is not None and not math.isfinite(args.fid_epsilon):
+        raise InvalidConfigError(f"--fid-epsilon {args.fid_epsilon}: needs a "
+                                 "finite value")
     model = graybox.GrayboxModel.load(args.model)
     gate = control.parse_gate(args.gate, model.d)
     expected = 2 * (model.d - 1) * model.n_max
@@ -171,23 +188,23 @@ def cmd_landscape(args):
     if args.optimized:
         thetas.append(_load_optimized(args.optimized, expected))
         ids.append(-1)  # optimized pulse sentinel id
-    grid = _parse_grid(args.grid)
+    eval_config = None if args.no_fidelity else \
+        _with_eval_k(model.config, args.eval_k)
     rows = interpret.landscape(model, thetas, gate, grid=grid, pulse_ids=ids,
                                fid_epsilon=args.fid_epsilon,
-                               k_eval=args.eval_k,
-                               include_fidelity=not args.no_fidelity)
+                               eval_config=eval_config)
     interpret.rows_to_csv(rows, args.out)
     print(f"wrote {len(rows)} landscape rows for {len(ids)} pulses -> {args.out}")
     return 0
 
 
 def cmd_expand(args):
+    grid = _parse_grid(args.grid) if args.grid else interpret.DEFAULT_GRID
     model = graybox.GrayboxModel.load(args.model)
     expected = 2 * (model.d - 1) * model.n_max
     _, thetas, manifest = _load_pulses(f"{args.dataset}:{args.pulse_id}",
                                        expected)
     theta = thetas[0]
-    grid = _parse_grid(args.grid) if args.grid else interpret.DEFAULT_GRID
     samples = interpret.scan_epsilon(model, theta, grid=grid)
     expansions = interpret.fit_taylor(samples, grid, order=args.order)
     payload = {

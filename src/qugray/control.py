@@ -11,14 +11,13 @@ index) and the best restart wins with lowest-index tie-breaking, so results
 do not depend on how many workers run them.
 """
 
-import dataclasses
 import json
 import multiprocessing
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import dynamics, fileio, noisegen, pulses, streams
+from . import dynamics, fileio, streams
 from .algebra import choi_of_unitary, clock_shift_basis, embed_two_level, \
     expm_skew, process_fidelity
 from .errors import InvalidConfigError, OptimizationFailure
@@ -177,37 +176,15 @@ def optimize_gate(model, gate, restarts=5, seed=0, max_iters=200, workers=1):
                               iterations=len(trace) - 1, seed=seed)
 
 
-def evaluation_ensemble(config, k_eval=None):
-    """The noise ensemble evaluate_fidelity averages over (None for closed
-    configs); k_eval overrides the ensemble size."""
-    if config.closed:
-        return None
-    spec = config.noise
-    if k_eval is not None and k_eval != spec.realizations:
-        spec = dataclasses.replace(spec, realizations=k_eval)
-    return noisegen.synthesize(spec, seed=config.seed)
-
-
-def evaluate_fidelity(config, theta, gate, real_set=None, k_eval=None):
-    """Process fidelity of the simulated channel against the target.
-
-    Closed configs use the single unitary U_0; noisy configs build the Choi
-    matrix of the Monte-Carlo-averaged channel over the realization ensemble,
-    real_set or else evaluation_ensemble(config, k_eval).
-    """
+def evaluate_fidelity(config, thetas, gate):
+    """Process fidelities (a list of B floats) against the target of the
+    channels of a (B, L) pulse stack: Choi matrices of the averages over
+    dynamics.channel_propagators."""
     if isinstance(gate, str):
         gate = parse_gate(gate, config.dim)
-    params = pulses.PulseParams.unflatten(np.asarray(theta, dtype=float),
-                                          config.dim, config.n_max)
-    if config.closed:
-        u_stack = dynamics.propagate_closed(config, params)[None]
-    else:
-        if real_set is None:
-            real_set = evaluation_ensemble(config, k_eval)
-        u_stack = dynamics.propagate_ensemble(config, params, real_set)
-    j_actual = dynamics.choi_of_propagators(u_stack)
     j_target = choi_of_unitary(gate.unitary)
-    return process_fidelity(j_target, j_actual)
+    return [process_fidelity(j_target, dynamics.choi_of_propagators(u_stack))
+            for u_stack in dynamics.channel_propagators(config, thetas)]
 
 
 def save_result(result, path):

@@ -150,9 +150,8 @@ def hamiltonian_at(config, params, beta_values, k):
     return H
 
 
-def synthesize_noise(config, seed=None):
-    return noisegen.synthesize(config.noise,
-                               seed=config.seed if seed is None else seed)
+def synthesize_noise(config):
+    return noisegen.synthesize(config.noise, seed=config.seed)
 
 
 def propagate_closed_batch(config, thetas):
@@ -219,6 +218,24 @@ def propagate_ensemble(config, params, real_set):
     return out
 
 
+def channel_propagators(config, thetas, real_set=None):
+    """(B, K, d, d) propagators of the channels of a (B, L) pulse stack, the
+    one place that picks U_0 (closed config, K = 1) or, for a noisy config,
+    each pulse over one ensemble: real_set or one synthesize_noise(config).
+    Row b is the same bits as propagate_closed/propagate_ensemble alone."""
+    thetas = np.asarray(thetas, dtype=float)
+    if config.closed:
+        return propagate_closed_batch(config, thetas)[:, None]
+    if real_set is None:
+        real_set = synthesize_noise(config)
+    out = np.empty((len(thetas), real_set.realizations, config.dim,
+                    config.dim), dtype=complex)
+    for b, theta in enumerate(thetas):
+        params = pulses.PulseParams.unflatten(theta, config.dim, config.n_max)
+        out[b] = propagate_ensemble(config, params, real_set)
+    return out
+
+
 def initial_states(basis):
     """Eigenvector kets of every basis element, shape (n_obs * d, d); row
     (j * d + k) is the k-th eigenvector of A_j."""
@@ -234,22 +251,13 @@ def expectations_from_propagators(u_stack, basis):
     return (values / u_stack.shape[0]).reshape(-1)
 
 
-def monte_carlo_expectations(config, params, real_set=None, basis=None):
-    """Expectation vector E of length d(d^2-1)^2; closed system if the config
-    couples to no noise."""
-    basis = basis if basis is not None else config.observable_basis()
-    if config.closed:
-        u_stack = propagate_closed(config, params)[None, :, :]
-    else:
-        if real_set is None:
-            real_set = synthesize_noise(config)
-        u_stack = propagate_ensemble(config, params, real_set)
-    return expectations_from_propagators(u_stack, basis)
-
-
-def heisenberg_average(u_stack, O):
-    """mean_r U_r^H O U_r."""
-    return np.einsum("rba,bc,rcd->ad", u_stack.conj(), O, u_stack) / u_stack.shape[0]
+def monte_carlo_expectations(config, params):
+    """Expectation vector E of length d(d^2-1)^2 of the pulse's channel."""
+    if params.dim != config.dim:
+        raise InvalidConfigError(f"pulse has {params.dim - 1} transitions, "
+                                 f"config {config.dim - 1}")
+    u_stack = channel_propagators(config, params.flatten()[None])[0]
+    return expectations_from_propagators(u_stack, config.observable_basis())
 
 
 def choi_of_propagators(u_stack):
@@ -259,7 +267,7 @@ def choi_of_propagators(u_stack):
     return np.einsum("ra,rb->ab", vecs, vecs.conj()) / (d * u_stack.shape[0])
 
 
-def oracle_noise_operator(config, params, real_set, O):
+def oracle_noise_operator(config, params, O):
     """Ground-truth V_O = O^-1 U_0 mean_r(U_r^H O U_r) U_0^H.
 
     Satisfies tr(V_O U_0 rho U_0^H O) = mean_r tr(O U_r rho U_r^H) for every
@@ -270,11 +278,9 @@ def oracle_noise_operator(config, params, real_set, O):
     if np.abs(evals).min() < 1e-6 * np.abs(evals).max():
         raise InvertibilityError("observable is singular; shift it first")
     u0 = propagate_closed(config, params)
-    if config.closed:
-        u_stack = u0[None, :, :]
-    else:
-        u_stack = propagate_ensemble(config, params, real_set)
-    avg = heisenberg_average(u_stack, O)
+    u_stack = channel_propagators(config, params.flatten()[None])[0]
+    avg = np.einsum("rba,bc,rcd->ad", u_stack.conj(), O,
+                    u_stack) / u_stack.shape[0]
     return np.linalg.solve(O, u0 @ avg @ u0.conj().T)
 
 
@@ -314,24 +320,19 @@ def _init_worker(config_dict):
     cfg = SystemConfig.from_dict(config_dict)
     _WORKER_STATE["config"] = cfg
     _WORKER_STATE["basis"] = cfg.observable_basis()
-    _WORKER_STATE["real_set"] = None if cfg.closed else \
-        noisegen.synthesize(cfg.noise, seed=cfg.seed)
+    _WORKER_STATE["real_set"] = None if cfg.closed else synthesize_noise(cfg)
     _WORKER_STATE["a_max"] = cfg.a_max()
 
 
 def _make_examples(indices):
-    """(index, theta, E) for a block of example indices: closed configs
-    propagate the block as one batch, noisy ones each example's ensemble."""
+    """(index, theta, E) for a block of example indices; a noisy config's
+    examples share the worker's ensemble."""
     cfg = _WORKER_STATE["config"]
     basis = _WORKER_STATE["basis"]
-    params = [_sample_example_params(cfg, _WORKER_STATE["a_max"], cfg.seed, i)
-              for i in indices]
-    thetas = np.stack([p.flatten() for p in params])
-    if cfg.closed:
-        u_stacks = propagate_closed_batch(cfg, thetas)[:, None]
-    else:
-        u_stacks = [propagate_ensemble(cfg, p, _WORKER_STATE["real_set"])
-                    for p in params]
+    thetas = np.stack([_sample_example_params(cfg, _WORKER_STATE["a_max"],
+                                              cfg.seed, i).flatten()
+                       for i in indices])
+    u_stacks = channel_propagators(cfg, thetas, _WORKER_STATE["real_set"])
     return [(i, theta, expectations_from_propagators(u, basis))
             for i, theta, u in zip(indices, thetas, u_stacks)]
 

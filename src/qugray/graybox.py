@@ -119,22 +119,21 @@ def _real_view(a):
     return a.view(float).reshape(a.shape[:-2] + (-1,))
 
 
+# Adam's moment decays and guard; the step drops by _DECAY_FACTOR for the
+# final (1 - _DECAY_AT) fraction of iterations, a cool-down that settles the
+# noise operators' off-data wiggle (spurious curvature in the local Taylor
+# surrogates) by roughly an order of magnitude
+_BETA1, _BETA2, _ADAM_EPS, _DECAY_AT, _DECAY_FACTOR = 0.9, 0.999, 1e-8, 0.7, 0.1
+
+
 @dataclass
 class TrainingHyper:
-    """Adaptive-moment SGD settings. The step drops by decay_factor for the
-    final (1 - decay_at) fraction of iterations; the cool-down settles the
-    noise operators' off-data wiggle (visible as spurious curvature in the
-    local Taylor surrogates) by roughly an order of magnitude."""
+    """Adaptive-moment SGD settings."""
 
     step_size: float = 1e-3
     iterations: int = 1000
     batch_size: int = 256
     seed: int = 0
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
-    decay_at: float = 0.7
-    decay_factor: float = 0.1
     abort_factor: float = 10.0
     abort_patience: int = 50
 
@@ -142,6 +141,9 @@ class TrainingHyper:
         if self.iterations < 1 or self.batch_size < 1:
             raise InvalidConfigError("training needs iterations >= 1 and "
                                      "batch_size >= 1")
+        if not (np.isfinite(self.step_size) and self.step_size > 0):
+            raise InvalidConfigError(f"step size {self.step_size}: needs a "
+                                     "finite value > 0")
 
 
 @dataclass
@@ -175,6 +177,8 @@ class GrayboxModel:
     """d^2 - 1 observable heads over a shared pulse encoder."""
 
     def __init__(self, config, hidden=HIDDEN_UNITS, seed=0):
+        if hidden < 1:
+            raise InvalidConfigError(f"hidden width {hidden}: needs >= 1")
         self.config = config
         self.d = config.dim
         self.n_max = config.n_max
@@ -606,26 +610,26 @@ class GrayboxModel:
                         f"{hyper.abort_patience} iterations")
             else:
                 bad_streak = 0
-            b1c = 1.0 - hyper.beta1 ** it
-            b2c = 1.0 - hyper.beta2 ** it
+            b1c = 1.0 - _BETA1 ** it
+            b2c = 1.0 - _BETA2 ** it
             step = hyper.step_size
-            if it > hyper.decay_at * hyper.iterations:
-                step *= hyper.decay_factor
+            if it > _DECAY_AT * hyper.iterations:
+                step *= _DECAY_FACTOR
             for name, g in grads.items():
                 # in place, in the order of m = beta1 m + (1 - beta1) g,
                 # v = beta2 v + (1 - beta2) g g and
                 # w -= step (m / b1c) / (sqrt(v / b2c) + eps)
                 m, v, (a, b) = mom[name], vel[name], work[name]
-                m *= hyper.beta1
-                m += np.multiply(1 - hyper.beta1, g, out=a)
-                v *= hyper.beta2
-                np.multiply(1 - hyper.beta2, g, out=a)
+                m *= _BETA1
+                m += np.multiply(1 - _BETA1, g, out=a)
+                v *= _BETA2
+                np.multiply(1 - _BETA2, g, out=a)
                 v += np.multiply(a, g, out=a)
                 np.divide(m, b1c, out=a)
                 a *= step
                 np.divide(v, b2c, out=b)
                 np.sqrt(b, out=b)
-                b += hyper.eps
+                b += _ADAM_EPS
                 self.weights[name] -= np.divide(a, b, out=a)
             test_loss = (float(self.loss(thetas[te], targets[te],
                                          sigmas[te]))

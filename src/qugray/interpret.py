@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import dynamics, fileio
+from . import control, dynamics, fileio
 from .errors import DomainError, InvalidConfigError
 
 DEFAULT_GRID = np.linspace(-1.0, 1.0, 41)
@@ -146,20 +146,20 @@ def control_cost_J(model_or_expansions, eps, theta, gate_unitary, config=None):
 
 
 def landscape(model, thetas, gate, grid=None, pulse_ids=None,
-              fid_epsilon=None, k_eval=200, include_fidelity=True):
-    """Sweep J and N over the grid for each pulse; true process fidelity is
-    evaluated at one designated grid point per pulse: the one nearest
-    fid_epsilon, by default the grid argmin of J across the whole ensemble
-    (mirroring how the sweep singles out a perturbation worth testing).
+              fid_epsilon=None, eval_config=None):
+    """Sweep J and N over the grid for each pulse; the true process fidelity
+    under eval_config (None: no fidelity) is evaluated at one designated grid
+    point per pulse, all pulses in one call: the point nearest fid_epsilon,
+    by default the grid argmin of J across the whole ensemble (mirroring how
+    the sweep singles out a perturbation worth testing).
 
     Returns a list of row dicts: pulse_id, epsilon, J, N, fidelity (NaN off
     the designated eps).
     """
-    from . import control as control_mod
     grid = DEFAULT_GRID if grid is None else np.asarray(grid, dtype=float)
     if isinstance(gate, str):
-        gate = control_mod.parse_gate(gate, model.d)
-    thetas = [np.asarray(t, dtype=float) for t in thetas]
+        gate = control.parse_gate(gate, model.d)
+    thetas = np.asarray(thetas, dtype=float)
     pulse_ids = pulse_ids if pulse_ids is not None else list(range(len(thetas)))
     rows = []
     j_tables = []
@@ -173,18 +173,16 @@ def landscape(model, thetas, gate, grid=None, pulse_ids=None,
             rows.append({"pulse_id": pid, "epsilon": float(e),
                          "J": float(j), "N": float(n),
                          "fidelity": float("nan")})
-    if include_fidelity:
+    if eval_config is not None:
         if fid_epsilon is None:
             flat_best = int(np.argmin([tab.min() for tab in j_tables]))
             eps_idx = int(np.argmin(j_tables[flat_best]))
         else:
             eps_idx = int(np.argmin(np.abs(grid - fid_epsilon)))
-        # one ensemble serves every pulse
-        real_set = control_mod.evaluation_ensemble(model.config, k_eval)
-        for row_block, theta in enumerate(thetas):
-            fid = control_mod.evaluate_fidelity(
-                model.config, grid[eps_idx] * theta, gate, real_set=real_set)
-            rows[row_block * grid.size + eps_idx]["fidelity"] = float(fid)
+        fids = control.evaluate_fidelity(
+            eval_config, grid[eps_idx] * thetas, gate)
+        for row_block, fid in enumerate(fids):
+            rows[row_block * grid.size + eps_idx]["fidelity"] = fid
     return rows
 
 

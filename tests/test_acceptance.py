@@ -153,7 +153,7 @@ def test_criterion_04_oracle_suite(desk_closed_cfg, desk_strong_cfg):
         params = pulses.sample_random_params(3, desk_closed_cfg.n_max,
                                              desk_closed_cfg.a_max(), seed)
         for sh in shifts:
-            V = dynamics.oracle_noise_operator(desk_closed_cfg, params, None,
+            V = dynamics.oracle_noise_operator(desk_closed_cfg, params,
                                                sh.shifted)
             worst_closed = max(worst_closed,
                                np.linalg.norm(V - np.eye(3)))
@@ -171,7 +171,7 @@ def test_criterion_04_oracle_suite(desk_closed_cfg, desk_strong_cfg):
                                               real_set)
         for sh in shifts:
             V = dynamics.oracle_noise_operator(desk_strong_cfg, params,
-                                               real_set, sh.shifted)
+                                               sh.shifted)
             W = sh.shifted @ V
             worst_herm = max(worst_herm, np.abs(W - W.conj().T).max())
         for _ in range(10):
@@ -179,8 +179,7 @@ def test_criterion_04_oracle_suite(desk_closed_cfg, desk_strong_cfg):
             O = A + A.conj().T + 4.0 * np.eye(3)
             rho_vec = rng.dirichlet(np.ones(3))
             rho = np.diag(rho_vec).astype(complex)
-            V = dynamics.oracle_noise_operator(desk_strong_cfg, params,
-                                               real_set, O)
+            V = dynamics.oracle_noise_operator(desk_strong_cfg, params, O)
             lhs = np.trace(V @ u0 @ rho @ u0.conj().T @ O).real
             rhs = np.mean([np.trace(O @ U @ rho @ U.conj().T).real
                            for U in u_stack])
@@ -236,8 +235,7 @@ def test_criterion_06_generalization_identity(desk_strong_cfg):
     real_set = dynamics.synthesize_noise(desk_strong_cfg)
     params = pulses.sample_random_params(3, desk_strong_cfg.n_max,
                                          desk_strong_cfg.a_max(), 7)
-    table = dynamics.monte_carlo_expectations(desk_strong_cfg, params,
-                                              real_set)
+    table = dynamics.monte_carlo_expectations(desk_strong_cfg, params)
     u_stack = dynamics.propagate_ensemble(desk_strong_cfg, params, real_set)
     rng = np.random.default_rng(5)
     worst = 0.0
@@ -303,7 +301,7 @@ def test_criterion_08_gate_optimization(optimized_gates, desk_closed_cfg,
         for label, cfg in (("closed", desk_closed_cfg),
                            ("weak", desk_weak_cfg),
                            ("strong", desk_strong_cfg)):
-            fid = control.evaluate_fidelity(cfg, res.theta_star, gate)
+            (fid,) = control.evaluate_fidelity(cfg, [res.theta_star], gate)
             infid[label] = 1.0 - fid
         assert infid["closed"] < 1e-2, (gate, infid)
         assert infid["closed"] <= infid["weak"] + 1e-9, (gate, infid)
@@ -370,8 +368,7 @@ def test_criterion_09_interpretability(closed_model, strong_model,
     smodel, _ = strong_model
     rand = [examples[i].theta for i in range(20, 40)]
     rows = interpret.landscape(smodel, rand + [res.theta_star], gate,
-                               grid=grid, pulse_ids=list(range(20)) + [-1],
-                               include_fidelity=False)
+                               grid=grid, pulse_ids=list(range(20)) + [-1])
     best_j = {}
     for row in rows:
         best_j[row["pulse_id"]] = min(best_j.get(row["pulse_id"], np.inf),

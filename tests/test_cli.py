@@ -110,7 +110,13 @@ class TestTrain:
 
     @pytest.mark.parametrize("flag, value", [("--iters", "0"),
                                              ("--iters", "-3"),
-                                             ("--batch", "0")])
+                                             ("--batch", "0"),
+                                             ("--step", "nan"),
+                                             ("--step", "inf"),
+                                             ("--step", "0"),
+                                             ("--step", "-1"),
+                                             ("--hidden", "0"),
+                                             ("--hidden", "-1")])
     def test_count_below_one_exits_2_before_writing(self, tmp_path,
                                                     tiny_dataset, flag,
                                                     value):
@@ -167,7 +173,9 @@ class TestOptimize:
         ["--eval-config", "n_max=2"],                # another pulse length
         ["--eval-k", "0"],
         ["--eval-k", "-1"],
-    ], ids=["unknown", "dimension", "n-max", "k-zero", "k-negative"])
+        ["--iters", "-3"],                           # 0 stays valid
+    ], ids=["unknown", "dimension", "n-max", "k-zero", "k-negative",
+            "iters-negative"])
     def test_bad_eval_options_exit_2_before_optimizing(
             self, tmp_path, tiny_model, monkeypatch, extra):
         if extra[1] == "n_max=2":
@@ -430,6 +438,29 @@ class TestGridParsing:
                        "--out", str(tmp_path / "x.csv")])
         assert rc == 2
         assert os.listdir(tmp_path) == []
+
+    @pytest.mark.parametrize("command, extra", [
+        ("landscape", ["--grid", "0:nan:5"]),
+        ("landscape", ["--grid", "-inf:1:5"]),
+        ("landscape", ["--fid-epsilon", "nan"]),
+        ("expand", ["--grid", "0:inf:5"]),
+    ], ids=["landscape-nan", "landscape-inf", "fid-epsilon-nan",
+            "expand-inf"])
+    def test_non_finite_value_exits_2_before_any_work(
+            self, tmp_path, tiny_model, tiny_dataset, monkeypatch, capsys,
+            command, extra):
+        def must_not_run(*args, **kwargs):
+            raise AssertionError("the model was loaded")
+
+        monkeypatch.setattr(cli.graybox.GrayboxModel, "load", must_not_run)
+        args = ["--pulses", tiny_dataset, "--gate", "X"] \
+            if command == "landscape" else ["--dataset", tiny_dataset,
+                                            "--pulse-id", "0"]
+        rc = cli.main([command, "--model", tiny_model, "--out",
+                       str(tmp_path / "x.out")] + args + extra)
+        assert rc == 2
+        assert os.listdir(tmp_path) == []
+        assert "repeated grid points" not in capsys.readouterr().err
 
 
 def _exit_code(write):

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 
 import numpy as np
@@ -67,7 +68,7 @@ class TestGateCost:
         G = dynamics.propagate_closed(closed_cfg, params)
         gate = control.TargetGate("self", G, "subspace")
         assert control.gate_cost(exact_model, theta, G) < 1e-20
-        fid = control.evaluate_fidelity(closed_cfg, theta, gate)
+        (fid,) = control.evaluate_fidelity(closed_cfg, [theta], gate)
         assert fid > 1.0 - 1e-9
 
     def test_positive_away_from_target(self, closed_cfg, exact_model):
@@ -83,10 +84,9 @@ class TestGateCost:
         c1 = control.gate_cost(exact_model, theta, G)
         c2 = control.gate_cost(exact_model, theta, np.exp(0.456j) * G)
         assert c1 == pytest.approx(c2, rel=1e-10)
-        f1 = control.evaluate_fidelity(closed_cfg, theta, control.TargetGate(
-            "H01", G, "subspace"))
-        f2 = control.evaluate_fidelity(closed_cfg, theta, control.TargetGate(
-            "H01", np.exp(0.456j) * G, "subspace"))
+        f1, f2 = (control.evaluate_fidelity(
+            closed_cfg, [theta], control.TargetGate("H01", U, "subspace"))[0]
+            for U in (G, np.exp(0.456j) * G))
         assert f1 == pytest.approx(f2, abs=1e-10)
 
 
@@ -148,15 +148,18 @@ class TestEvaluateFidelity:
         theta = params.flatten()
         G = dynamics.propagate_closed(closed_cfg, params)
         gate = control.TargetGate("self", G, "subspace")
-        f_closed = control.evaluate_fidelity(closed_cfg, theta, gate)
-        f_noisy = control.evaluate_fidelity(noisy_cfg, theta, gate)
+        (f_closed,) = control.evaluate_fidelity(closed_cfg, [theta], gate)
+        (f_noisy,) = control.evaluate_fidelity(noisy_cfg, [theta], gate)
         assert f_closed > 1.0 - 1e-9
         assert f_noisy < f_closed
 
     def test_k_eval_override(self):
+        # a smaller evaluation ensemble is the config with K replaced
         cfg = make_config(d=2, steps=96, realizations=64, g=(0.0, 16.0))
+        cfg = dataclasses.replace(
+            cfg, noise=dataclasses.replace(cfg.noise, realizations=8))
         theta = np.zeros(2 * 1 * cfg.n_max)
-        f = control.evaluate_fidelity(cfg, theta, "I", k_eval=8)
+        (f,) = control.evaluate_fidelity(cfg, [theta], "I")
         assert 0.0 <= f <= 1.0
 
 

@@ -106,7 +106,8 @@ class TestPropagation:
         for propagate in (
                 lambda: dynamics.propagate_closed(cfg, qubit),
                 lambda: dynamics.closed_forward(cfg, qubit),
-                lambda: dynamics.propagate_ensemble(cfg, qubit, real_set)):
+                lambda: dynamics.propagate_ensemble(cfg, qubit, real_set),
+                lambda: dynamics.monte_carlo_expectations(cfg, qubit)):
             with pytest.raises(InvalidConfigError, match="transitions"):
                 propagate()
 
@@ -128,6 +129,25 @@ class TestPropagation:
         np.testing.assert_allclose(
             grad, padded_grad.amplitudes[:4].transpose(1, 2, 0).reshape(-1),
             rtol=1e-12, atol=1e-12 * np.abs(grad).max())
+
+    @pytest.mark.parametrize("g", [None, STRONG_G3], ids=["closed", "noisy"])
+    def test_channel_propagators_rows_are_single_pulses(self, g):
+        cfg = make_config(d=3, steps=96, realizations=5, g=g)
+        params = [pulses.sample_random_params(3, cfg.n_max, cfg.a_max(), s)
+                  for s in range(3)]
+        stacks = dynamics.channel_propagators(
+            cfg, np.stack([p.flatten() for p in params]))
+        assert stacks.shape == (3, 1 if cfg.closed else 5, 3, 3)
+        real_set = dynamics.synthesize_noise(cfg)
+        for p, u_stack in zip(params, stacks):
+            want = dynamics.propagate_closed(cfg, p)[None] if cfg.closed \
+                else dynamics.propagate_ensemble(cfg, p, real_set)
+            assert u_stack.tobytes() == want.tobytes()
+        if not cfg.closed:  # a given ensemble is used as it is
+            two = noisegen.synthesize(cfg.noise, cfg.seed, stop=2)
+            got = dynamics.channel_propagators(cfg, [params[1].flatten()], two)
+            assert got.tobytes() == dynamics.propagate_ensemble(
+                cfg, params[1], two)[None].tobytes()
 
     def test_pure_dephasing_stays_diagonal(self, noisy3):
         zero = pulses.PulseParams(3, np.zeros((noisy3.n_max, 2, 2)))
@@ -164,10 +184,9 @@ class TestExpectations:
         E2 = dynamics.monte_carlo_expectations(cfg2, params2)
         assert E2.shape == (18,)
 
-    def test_entries_within_eigenvalue_range(self, noisy3, noisy3_realizations,
-                                             random_params3, basis3):
-        E = dynamics.monte_carlo_expectations(noisy3, random_params3,
-                                              noisy3_realizations)
+    def test_entries_within_eigenvalue_range(self, noisy3, random_params3,
+                                             basis3):
+        E = dynamics.monte_carlo_expectations(noisy3, random_params3)
         table = E.reshape(8, 3, 8)
         for i in range(8):
             lo = basis3.eigenvalues[i].min() - 1e-9
@@ -192,16 +211,15 @@ class TestOracle:
             for j in (0, 4, 7):
                 sh = noiseop.shift_observable(basis3.elements[j],
                                               style="interior")
-                V = dynamics.oracle_noise_operator(closed3, params, None,
+                V = dynamics.oracle_noise_operator(closed3, params,
                                                    sh.shifted)
                 assert np.linalg.norm(V - np.eye(3)) < 1e-10
 
-    def test_w_hermitian_under_noise(self, noisy3, noisy3_realizations,
-                                     random_params3, basis3):
+    def test_w_hermitian_under_noise(self, noisy3, random_params3, basis3):
         for j in (0, 3, 7):
             sh = noiseop.shift_observable(basis3.elements[j], style="interior")
             V = dynamics.oracle_noise_operator(noisy3, random_params3,
-                                               noisy3_realizations, sh.shifted)
+                                               sh.shifted)
             W = sh.shifted @ V
             assert np.abs(W - W.conj().T).max() < 1e-10
 
@@ -216,26 +234,23 @@ class TestOracle:
             rho = random_density(3, rng)
             A = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
             O = A + A.conj().T + 4.0 * np.eye(3)  # comfortably invertible
-            V = dynamics.oracle_noise_operator(noisy3, random_params3,
-                                               noisy3_realizations, O)
+            V = dynamics.oracle_noise_operator(noisy3, random_params3, O)
             lhs = np.trace(V @ u0 @ rho @ u0.conj().T @ O).real
             rhs = np.mean([np.trace(O @ U @ rho @ U.conj().T).real
                            for U in u_stack])
             assert abs(lhs - rhs) < 1e-10
 
-    def test_singular_observable_rejected(self, noisy3, noisy3_realizations,
-                                          random_params3, basis3):
+    def test_singular_observable_rejected(self, noisy3, random_params3,
+                                          basis3):
         with pytest.raises(InvertibilityError):
             dynamics.oracle_noise_operator(noisy3, random_params3,
-                                           noisy3_realizations,
                                            basis3.elements[0])
 
 
 class TestGeneralizationIdentity:
     def test_assembled_matches_direct(self, noisy3, noisy3_realizations,
                                       random_params3, basis3):
-        E = dynamics.monte_carlo_expectations(noisy3, random_params3,
-                                              noisy3_realizations)
+        E = dynamics.monte_carlo_expectations(noisy3, random_params3)
         u_stack = dynamics.propagate_ensemble(noisy3, random_params3,
                                               noisy3_realizations)
         rng = np.random.default_rng(12)
@@ -248,10 +263,8 @@ class TestGeneralizationIdentity:
                               for U in u_stack])
             assert abs(assembled - direct) < 1e-8
 
-    def test_identity_observable(self, noisy3, noisy3_realizations,
-                                 random_params3, basis3):
-        E = dynamics.monte_carlo_expectations(noisy3, random_params3,
-                                              noisy3_realizations)
+    def test_identity_observable(self, noisy3, random_params3, basis3):
+        E = dynamics.monte_carlo_expectations(noisy3, random_params3)
         rng = np.random.default_rng(4)
         rho = random_density(3, rng)
         out = dynamics.assemble_expectation(E, basis3, rho, np.eye(3))

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -9,6 +11,13 @@ from qugray.errors import DomainError
 @pytest.fixture(scope="module")
 def cfg():
     return make_config(d=3, steps=160, realizations=6, g=(0.0, 16.0, 17.45))
+
+
+@pytest.fixture(scope="module")
+def eval_cfg(cfg):
+    """cfg with a 4-realization evaluation ensemble."""
+    return dataclasses.replace(
+        cfg, noise=dataclasses.replace(cfg.noise, realizations=4))
 
 
 @pytest.fixture(scope="module")
@@ -122,13 +131,13 @@ class TestCostFunctions:
 
 
 class TestLandscape:
-    def test_rows_and_csv(self, model, cfg, tmp_path):
+    def test_rows_and_csv(self, model, cfg, eval_cfg, tmp_path):
         rng = np.random.default_rng(0)
         thetas = [rng.uniform(-cfg.a_max(), cfg.a_max(), size=40)
                   for _ in range(2)]
         grid = np.linspace(-1, 1, 5)
         rows = interpret.landscape(model, thetas, "sigma_1_0", grid=grid,
-                                   k_eval=4)
+                                   eval_config=eval_cfg)
         assert len(rows) == 2 * 5
         fid_rows = [r for r in rows if not np.isnan(r["fidelity"])]
         assert len(fid_rows) == 2  # one designated epsilon per pulse
@@ -148,35 +157,36 @@ class TestLandscape:
             assert value == interpret.gate_overlap_infidelity(cfg, theta, e,
                                                               G)
 
-    def test_off_grid_fid_epsilon_lands_on_its_row(self, model, cfg):
+    def test_off_grid_fid_epsilon_lands_on_its_row(self, model, cfg,
+                                                   eval_cfg):
         # 0.33 is not on the grid: the fidelity is evaluated at the grid
         # point of the row it is written to (0.35)
         theta = np.random.default_rng(3).uniform(-cfg.a_max(), cfg.a_max(),
                                                  size=40)
         grid = np.linspace(-1, 1, 41)
         rows = interpret.landscape(model, [theta], "X01", grid=grid,
-                                   fid_epsilon=0.33, k_eval=4)
+                                   fid_epsilon=0.33, eval_config=eval_cfg)
         (row,) = [r for r in rows if not np.isnan(r["fidelity"])]
         assert row["epsilon"] == pytest.approx(0.35)
-        expected = control.evaluate_fidelity(cfg, row["epsilon"] * theta,
-                                             "X01", k_eval=4)
+        (expected,) = control.evaluate_fidelity(
+            eval_cfg, [row["epsilon"] * theta], "X01")
         assert row["fidelity"] == expected
 
     def test_one_evaluation_ensemble_for_all_pulses(self, model, cfg,
-                                                    monkeypatch):
+                                                    eval_cfg, monkeypatch):
         rng = np.random.default_rng(4)
         thetas = [rng.uniform(-cfg.a_max(), cfg.a_max(), size=40)
                   for _ in range(3)]
         grid = np.linspace(-1, 1, 5)
         gate = control.parse_gate("X01", 3)
         rows = interpret.landscape(model, thetas, gate, grid=grid,
-                                   fid_epsilon=0.5, k_eval=4)
+                                   fid_epsilon=0.5, eval_config=eval_cfg)
         # each pulse's fidelity as a per-pulse evaluation, with its own
         # ensemble, would give it
         for i, theta in enumerate(thetas):
             fid = rows[i * grid.size + 3]["fidelity"]
-            assert fid == control.evaluate_fidelity(cfg, 0.5 * theta, gate,
-                                                    k_eval=4)
+            assert fid == control.evaluate_fidelity(eval_cfg, [0.5 * theta],
+                                                    gate)[0]
         calls = []
         synthesize = noisegen.synthesize
 
@@ -186,7 +196,7 @@ class TestLandscape:
 
         monkeypatch.setattr(noisegen, "synthesize", counting)
         again = interpret.landscape(model, thetas, gate, grid=grid,
-                                    fid_epsilon=0.5, k_eval=4)
+                                    fid_epsilon=0.5, eval_config=eval_cfg)
         assert len(calls) == 1
         assert repr(again) == repr(rows)  # NaN-aware, bit-exact floats
 

@@ -168,8 +168,7 @@ class TestShift:
         for j in (0, 5, 6):
             O = basis.elements[j]
             sh = noiseop.shift_observable(O, style="interior")
-            V = dynamics.oracle_noise_operator(cfg, params, real_set,
-                                               sh.shifted)
+            V = dynamics.oracle_noise_operator(cfg, params, sh.shifted)
             rho = u0 @ np.diag([0.2, 0.5, 0.3]).astype(complex) @ u0.conj().T
             shifted_e = np.trace(V @ rho @ sh.shifted).real
             recovered = noiseop.recover_expectation(shifted_e, sh.a, sh.b)
@@ -214,7 +213,7 @@ class TestExtractParams:
         params = pulses.sample_random_params(3, cfg.n_max, cfg.a_max(), 9)
         for j in (1, 6):
             sh = noiseop.shift_observable(basis.elements[j], style="interior")
-            V = dynamics.oracle_noise_operator(cfg, params, None, sh.shifted)
+            V = dynamics.oracle_noise_operator(cfg, params, sh.shifted)
             W = sh.shifted @ V
             W = (W + W.conj().T) / 2
             back = noiseop.build_W(noiseop.extract_params(W))

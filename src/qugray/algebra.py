@@ -86,24 +86,23 @@ class ObservableBasis:
 
     dim: int
     elements: list = field(repr=False)
-    eigenvalues: list = field(default=None, repr=False)
-    eigenvectors: list = field(default=None, repr=False)
-    norm_constant: float = 2.0
+    eigenvalues: list = field(init=False, repr=False)
+    eigenvectors: list = field(init=False, repr=False)
 
     def __post_init__(self):
-        if self.eigenvalues is None:
-            systems = [eigh_fixed(A) for A in self.elements]
-            self.eigenvalues = [s[0] for s in systems]
-            self.eigenvectors = [s[1] for s in systems]
+        systems = [eigh_fixed(A) for A in self.elements]
+        self.eigenvalues = [s[0] for s in systems]
+        self.eigenvectors = [s[1] for s in systems]
 
     def __len__(self):
         return len(self.elements)
 
     def expand(self, H):
-        """Coefficients a_j with H = tr(H)/d * I + sum_j a_j A_j."""
+        """Coefficients a_j with H = tr(H)/d * I + sum_j a_j A_j, for
+        elements normalized as the Gell-Mann matrices, tr(A_i A_j) = 2
+        delta_ij."""
         H = np.asarray(H, dtype=complex)
-        return np.array([np.trace(A @ H).real / self.norm_constant
-                         for A in self.elements])
+        return np.array([np.trace(A @ H).real / 2.0 for A in self.elements])
 
 
 def gell_mann_basis(d):

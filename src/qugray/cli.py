@@ -55,9 +55,13 @@ def _parse_pulse_spec(spec):
     if ":" in spec:
         path, _, ids = spec.rpartition(":")
         try:
-            return path, [int(t) for t in ids.split(",") if t]
+            ids = [int(t) for t in ids.split(",") if t]
         except ValueError as exc:
             raise InvalidConfigError(f"bad pulse ids in {spec!r}") from exc
+        if not ids:
+            raise InvalidConfigError(f"no pulse ids in {spec!r}; give "
+                                     "PATH or PATH:id0,id1,...")
+        return path, ids
     return spec, None
 
 

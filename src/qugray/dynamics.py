@@ -22,16 +22,16 @@ from . import fileio, noisegen, pulses, streams
 from ._kernels import propagate_piecewise, propagate_piecewise_batch, \
     pullback_closed, rows_per_call
 from .algebra import gell_mann_basis
-from .errors import DatasetIOError, InvalidConfigError, InvertibilityError, \
-    QugrayError
+from .errors import ContractViolationError, DatasetIOError, \
+    InvalidConfigError, InvertibilityError, QugrayError
 
 DATASET_ORDERING_VERSION = 3
-# default split ratio: 8192 train / 1840 test at the full 10032-example scale
-DEFAULT_TEST_FRACTION = 1840.0 / 10032.0
+# split ratio: 8192 train / 1840 test at the full 10032-example scale
+TEST_FRACTION = 1840.0 / 10032.0
 
 
-def dataset_split(n_examples, test_fraction=DEFAULT_TEST_FRACTION):
-    n_test = int(round(n_examples * test_fraction))
+def dataset_split(n_examples):
+    n_test = int(round(n_examples * TEST_FRACTION))
     return n_examples - n_test, n_test
 
 
@@ -63,6 +63,9 @@ class SystemConfig:
             raise InvalidConfigError("dim must be >= 2")
         if len(self.omega) != self.dim or len(self.g) != self.dim:
             raise InvalidConfigError("omega and g must have one entry per level")
+        if not np.isfinite(self.omega + self.g).all():
+            raise InvalidConfigError(f"omega {self.omega} and g {self.g} "
+                                     "must be finite")
         if len(self.carrier.scales) != self.dim - 1:
             raise InvalidConfigError("carrier needs dim - 1 channels")
         if self.noise.channels != self.dim:
@@ -343,8 +346,7 @@ def _sample_example_params(config, a_max, seed, index):
     return pulses.PulseParams(dim=config.dim, amplitudes=amps)
 
 
-def generate_dataset(config, n_examples, seed=None, workers=1,
-                     test_fraction=DEFAULT_TEST_FRACTION):
+def generate_dataset(config, n_examples, seed=None, workers=1):
     """Sample pulse/expectation pairs; one noise ensemble is synthesized per
     noisy dataset and process, and reused across examples (closed configs
     need none). A task is one kernel call's worth of closed examples, or one
@@ -371,7 +373,7 @@ def generate_dataset(config, n_examples, seed=None, workers=1,
             results = list(pool.imap(_make_examples, blocks))
     examples = [DatasetExample(theta=theta, expectations=E)
                 for block in results for _, theta, E in block]
-    _, n_test = dataset_split(n_examples, test_fraction)
+    _, n_test = dataset_split(n_examples)
     manifest = {
         "format": "qugray-dataset",
         "ordering_version": DATASET_ORDERING_VERSION,
@@ -392,7 +394,15 @@ def manifest_path(dataset_path):
 def save_dataset(path, examples, manifest):
     """Write the examples (JSON lines) and then their manifest, which also
     records the SHA-256 of the examples file: a process stopped between the
-    two writes leaves examples that load_dataset refuses."""
+    two writes leaves examples that load_dataset refuses. An example holding
+    a NaN or infinite float raises ContractViolationError before anything is
+    written; a value that is not a number fails in the writer, as an I/O
+    error."""
+    for i, ex in enumerate(examples):
+        values = np.concatenate([ex.theta, ex.expectations])
+        if values.dtype.kind == "f" and not np.isfinite(values).all():
+            raise ContractViolationError(f"example {i} holds a non-finite "
+                                         f"value; {path} not written")
     digest = hashlib.sha256()
     with fileio.atomic_write(path, "wb") as fh:
         for ex in examples:
@@ -450,4 +460,8 @@ def load_dataset(path):
                 ex.expectations.size != d * (d * d - 1) ** 2:
             raise DatasetIOError(f"{path}: example {i} has wrong vector sizes"
                                  f" for d={d}, n_max={n_max}")
+        if not (np.isfinite(ex.theta).all()
+                and np.isfinite(ex.expectations).all()):
+            raise DatasetIOError(f"{path}: example {i} holds a non-finite "
+                                 "value")
     return examples, manifest

@@ -14,8 +14,8 @@ class InvalidDimensionError(QugrayError):
 
 
 class ContractViolationError(QugrayError):
-    """An operator does not satisfy the role it was passed as (Hermitian,
-    unitary, density, Choi)."""
+    """An operator or array does not satisfy the role it was passed as
+    (Hermitian, unitary, density, Choi, finite)."""
 
 
 class InvalidConfigError(QugrayError):

@@ -57,10 +57,6 @@ _MODEL_MAGIC = b"QGMODEL1"
 _MODEL_VERSION = 2
 HIDDEN_UNITS = 60
 _GATES = ("z", "r", "h")
-# Version-1 files stored one block set per observable o, named obs{o}.Wz,
-# head{o}.W, ...: these live ones are stacked on load. The cells' U*, Wr and
-# br blocks only ever multiplied the zero state and are ignored.
-_V1_STACKED = ("obs.Wz", "obs.bz", "obs.Wh", "obs.bh", "head.W", "head.b")
 
 
 def _sigmoid(x, out=None):
@@ -124,6 +120,9 @@ def _real_view(a):
 # noise operators' off-data wiggle (spurious curvature in the local Taylor
 # surrogates) by roughly an order of magnitude
 _BETA1, _BETA2, _ADAM_EPS, _DECAY_AT, _DECAY_FACTOR = 0.9, 0.999, 1e-8, 0.7, 0.1
+# training aborts once the loss stays above _ABORT_FACTOR x its first value
+# for _ABORT_PATIENCE iterations in a row
+_ABORT_FACTOR, _ABORT_PATIENCE = 10.0, 50
 
 
 @dataclass
@@ -134,8 +133,6 @@ class TrainingHyper:
     iterations: int = 1000
     batch_size: int = 256
     seed: int = 0
-    abort_factor: float = 10.0
-    abort_patience: int = 50
 
     def __post_init__(self):
         if self.iterations < 1 or self.batch_size < 1:
@@ -157,20 +154,6 @@ class TrainingRecord:
     @property
     def iterations(self):
         return len(self.train_mse)
-
-
-@dataclass
-class ForwardResult:
-    head_params: tuple  # (r, theta, psi, x, p), each with a leading n_obs axis
-    noise_operators: np.ndarray  # V_O, (n_obs, d, d)
-    expectations: np.ndarray  # flat, dataset ordering
-
-    @property
-    def params(self):
-        """NoiseOperatorParams per observable."""
-        return [noiseop.NoiseOperatorParams(self.noise_operators.shape[-1],
-                                            *fields)
-                for fields in zip(*self.head_params)]
 
 
 class GrayboxModel:
@@ -241,14 +224,6 @@ class GrayboxModel:
 
     def weight_names(self):
         return sorted(self.weights)
-
-    # -- whitebox caches ---------------------------------------------------
-
-    def state_stack(self, theta):
-        """sigma_s = U0 |q_s><q_s| U0^H for one flattened pulse vector."""
-        u0 = dynamics.propagate_closed(self.config,
-                                       _unflatten(self.config, theta))
-        return _states(self._kets, u0[None])[1][0]
 
     # -- blackbox forward --------------------------------------------------
 
@@ -527,21 +502,11 @@ class GrayboxModel:
 
     # -- public single-pulse API -------------------------------------------
 
-    def forward(self, theta):
-        """Full result for one flattened pulse vector."""
-        theta = np.asarray(theta, dtype=float)
-        sigma = self.state_stack(theta)
-        pred, caches = self.forward_batch(theta[None, :], sigma[None, ...])
-        heads = caches["heads"]
-        return ForwardResult(
-            head_params=tuple(heads[k][0] for k in ("r", "theta", "psi", "x",
-                                                    "p")),
-            noise_operators=self.obs_inv @ heads["W"][0],
-            expectations=pred[0])
-
     def expectations(self, theta):
-        """Predicted expectation vector for one pulse (dataset ordering)."""
-        return self.forward(theta).expectations
+        """Predicted expectation vector for one pulse (dataset ordering):
+        row 0 of forward_batch on a one-pulse stack."""
+        thetas = np.asarray(theta, dtype=float)[None]
+        return self.forward_batch(thetas, self.precompute_states(thetas))[0][0]
 
     def noise_operators(self, thetas):
         """V_O samples without any propagation: (B, n_obs, d, d)."""
@@ -560,8 +525,9 @@ class GrayboxModel:
     # -- training ------------------------------------------------------------
 
     def precompute_states(self, thetas):
-        """sigma stacks for many pulses; U_0 has no weights so this runs once.
-        Row i is state_stack(thetas[i]), bit for bit."""
+        """sigma stacks (B, S, d, d) for a (B, L) stack of pulses; U_0 has no
+        weights, so this runs once per training set. A pulse's row is the
+        same bits whatever else is in the stack."""
         u0s = dynamics.propagate_closed_batch(self.config, thetas)
         return _states(self._kets, u0s)[1]
 
@@ -601,13 +567,13 @@ class GrayboxModel:
                     f"iteration {it}")
             if initial_loss is None:
                 initial_loss = loss
-            if loss > hyper.abort_factor * initial_loss:
+            if loss > _ABORT_FACTOR * initial_loss:
                 bad_streak += 1
-                if bad_streak >= hyper.abort_patience:
+                if bad_streak >= _ABORT_PATIENCE:
                     raise TrainingDiverged(
-                        f"loss {loss:.3e} stayed above {hyper.abort_factor} x "
+                        f"loss {loss:.3e} stayed above {_ABORT_FACTOR} x "
                         f"initial ({initial_loss:.3e}) for "
-                        f"{hyper.abort_patience} iterations")
+                        f"{_ABORT_PATIENCE} iterations")
             else:
                 bad_streak = 0
             b1c = 1.0 - _BETA1 ** it
@@ -669,26 +635,11 @@ class GrayboxModel:
                 fh.write(np.ascontiguousarray(
                     self.weights[name], dtype="<f8").tobytes())
 
-    def _file_layout(self, version):
-        """Block name -> shape, as a file of the given version stores them."""
-        layout = {name: arr.shape for name, arr in self.weights.items()}
-        if version == 1:
-            H = self.hidden
-            layout = {n: s for n, s in layout.items() if n.startswith("enc.")}
-            for o in range(self.n_obs):
-                for name in _V1_STACKED:
-                    layout[name.replace(".", f"{o}.")] = \
-                        self.weights[name].shape[1:]
-                for dead in ("Uz", "Ur", "Uh", "Wr"):
-                    layout[f"obs{o}.{dead}"] = (H, H)
-                layout[f"obs{o}.br"] = (H,)
-        return layout
-
     @classmethod
     def load(cls, path):
-        """Read a model file of version 2, or of version 1 (one block set per
-        observable); a file that does not fit the model its header describes,
-        or holds a NaN or infinite weight, raises DatasetIOError."""
+        """Read a model file written by `save` (version 2). A file of another
+        version, one that does not fit the model its header describes, or one
+        that holds a NaN or infinite weight raises DatasetIOError."""
         try:
             with open(path, "rb") as fh:
                 data = fh.read()
@@ -700,8 +651,11 @@ class GrayboxModel:
             (hlen,) = struct.unpack_from("<Q", data, 8)
             header = json.loads(data[16:16 + hlen])
             if header["format"] != "qugray-model" or \
-                    header["version"] not in (1, _MODEL_VERSION):
-                raise ValueError("unsupported model format")
+                    header["version"] != _MODEL_VERSION:
+                raise ValueError(
+                    f"format {header['format']!r} version "
+                    f"{header['version']!r}; only qugray-model version "
+                    f"{_MODEL_VERSION} loads")
             model = cls(dynamics.SystemConfig.from_dict(header["config"]),
                         hidden=int(header["hidden"]), seed=header["seed"])
             specs = [(str(b["name"]), tuple(b["shape"]))
@@ -709,7 +663,7 @@ class GrayboxModel:
         except (struct.error, KeyError, TypeError, ValueError,
                 QugrayError) as exc:
             raise DatasetIOError(f"{path}: bad model header: {exc}") from exc
-        layout = model._file_layout(header["version"])
+        layout = {name: w.shape for name, w in model.weights.items()}
         if len(specs) != len(layout) or dict(specs) != layout:
             raise DatasetIOError(f"{path}: weight blocks do not fit a "
                                  f"d={model.d}, hidden={model.hidden} model")
@@ -726,12 +680,6 @@ class GrayboxModel:
             if not np.isfinite(blocks[name]).all():
                 raise DatasetIOError(f"{path}: weight block {name} holds a "
                                      "non-finite value")
-        if header["version"] == 1:
-            live = {n: blocks[n] for n in layout if n.startswith("enc.")}
-            for name in _V1_STACKED:
-                live[name] = np.stack([blocks[name.replace(".", f"{o}.")]
-                                       for o in range(model.n_obs)])
-            blocks = live
         model.weights = blocks
         model.dataset_hash = header.get("dataset_hash", "")
         return model
@@ -772,29 +720,3 @@ class ExactClosedModel:
         B = np.asarray(thetas).shape[0]
         eye = np.eye(self.d, dtype=complex)
         return np.broadcast_to(eye, (B, self.n_obs, self.d, self.d)).copy()
-
-
-def finite_difference_check(model, thetas, targets, sigmas, n_weights=20,
-                            step=1e-5, seed=0):
-    """Compare analytic gradients against central differences on a sample of
-    weights; returns the worst relative error."""
-    _, grads = model.loss_and_grad(thetas, targets, sigmas)
-    rng = streams.generator(seed, streams.GRADIENT_CHECK)
-    names = model.weight_names()
-    worst = 0.0
-    for _ in range(n_weights):
-        name = names[rng.integers(len(names))]
-        arr = model.weights[name]
-        flat_idx = int(rng.integers(arr.size))
-        idx = np.unravel_index(flat_idx, arr.shape)
-        orig = arr[idx]
-        arr[idx] = orig + step
-        up = model.loss(thetas, targets, sigmas)
-        arr[idx] = orig - step
-        down = model.loss(thetas, targets, sigmas)
-        arr[idx] = orig
-        fd = (up - down) / (2 * step)
-        an = grads[name][idx]
-        denom = max(abs(fd), abs(an), 1e-10)
-        worst = max(worst, abs(fd - an) / denom)
-    return float(worst)

@@ -50,17 +50,17 @@ class TaylorExpansion:
         }
 
 
-def scan_epsilon(model, theta, grid=None, enforce_bounds=True):
-    """Noise-operator samples V(eps) on the grid, shape (n_grid, n_obs, d, d)."""
+def scan_epsilon(model, theta, grid=None):
+    """Noise-operator samples V(eps) on the grid, shape (n_grid, n_obs, d, d).
+    The scaled pulses eps * theta must stay inside the dataset sampling
+    bound a_max (the model was trained there); DomainError otherwise."""
     grid = DEFAULT_GRID if grid is None else np.asarray(grid, dtype=float)
     theta = np.asarray(theta, dtype=float)
-    if enforce_bounds:
-        a_max = model.config.a_max()
-        peak = np.abs(theta).max() * np.abs(grid).max()
-        if peak > a_max * (1.0 + 1e-9):
-            raise DomainError(
-                f"scaled amplitudes reach {peak:.3g} > bound {a_max:.3g}; "
-                "pass enforce_bounds=False to waive")
+    a_max = model.config.a_max()
+    peak = np.abs(theta).max() * np.abs(grid).max()
+    if peak > a_max * (1.0 + 1e-9):
+        raise DomainError(
+            f"scaled amplitudes reach {peak:.3g} > bound {a_max:.3g}")
     thetas = grid[:, None] * theta[None, :]
     return model.noise_operators(thetas)
 

@@ -75,6 +75,11 @@ class CarrierSpec:
                            tuple(float(x) for x in self.drive_freqs))
         if len(self.scales) != len(self.drive_freqs):
             raise InvalidConfigError("scales and drive_freqs lengths differ")
+        if not np.isfinite(self.scales + self.drive_freqs
+                           + (self.total_time,)).all():
+            raise InvalidConfigError(
+                f"scales {self.scales}, drive_freqs {self.drive_freqs} and "
+                f"total_time {self.total_time} must be finite")
         if any(w <= 0 for w in self.drive_freqs):
             raise InvalidConfigError("drive frequencies must be positive")
         if self.total_time <= 0:

@@ -7,7 +7,7 @@ everything here is deliberately smaller so module suites stay quick.
 import numpy as np
 import pytest
 
-from qugray import dynamics, noisegen, pulses
+from qugray import dynamics, noisegen, pulses, streams
 
 # anharmonic ladder levels and drives; d = 2, 3 take the leading entries
 LADDER_OMEGA = (0.0, 700.0, 1373.7, 2020.8)
@@ -62,3 +62,29 @@ def random_density(d, rng):
     A = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
     rho = A @ A.conj().T
     return rho / np.trace(rho).real
+
+
+def finite_difference_check(model, thetas, targets, sigmas, n_weights=20,
+                            step=1e-5, seed=0):
+    """Compare analytic gradients against central differences on a sample of
+    weights; returns the worst relative error."""
+    _, grads = model.loss_and_grad(thetas, targets, sigmas)
+    rng = streams.generator(seed, streams.GRADIENT_CHECK)
+    names = model.weight_names()
+    worst = 0.0
+    for _ in range(n_weights):
+        name = names[rng.integers(len(names))]
+        arr = model.weights[name]
+        flat_idx = int(rng.integers(arr.size))
+        idx = np.unravel_index(flat_idx, arr.shape)
+        orig = arr[idx]
+        arr[idx] = orig + step
+        up = model.loss(thetas, targets, sigmas)
+        arr[idx] = orig - step
+        down = model.loss(thetas, targets, sigmas)
+        arr[idx] = orig
+        fd = (up - down) / (2 * step)
+        an = grads[name][idx]
+        denom = max(abs(fd), abs(an), 1e-10)
+        worst = max(worst, abs(fd - an) / denom)
+    return float(worst)

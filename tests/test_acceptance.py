@@ -12,6 +12,7 @@ import time
 import numpy as np
 import pytest
 
+from conftest import finite_difference_check
 from qugray import (algebra, cli, config, control, dynamics, graybox,
                     interpret, noisegen, noiseop, pulses)
 
@@ -283,8 +284,8 @@ def test_criterion_07_graybox_training(closed_model, strong_model,
     rng = np.random.default_rng(0)
     targets = rng.uniform(-1.0, 1.0, size=(4, 192))
     sigmas = probe.precompute_states(thetas)
-    fd_err = graybox.finite_difference_check(probe, thetas, targets, sigmas,
-                                             n_weights=20, step=1e-5, seed=0)
+    fd_err = finite_difference_check(probe, thetas, targets, sigmas,
+                                     n_weights=20, step=1e-5, seed=0)
     assert fd_err < 1e-4
     elapsed = time.perf_counter() - start
     report(7, elapsed, f"closed test MSE {cr.test_mse[-1]:.2e} (<1e-3), "

@@ -210,6 +210,18 @@ class TestLandscapeExpand:
         assert rc == 2
         assert not out.exists()
 
+    @pytest.mark.parametrize("extra", [[], ["--no-fidelity"]],
+                             ids=["fidelity", "no-fidelity"])
+    @pytest.mark.parametrize("ids", ["", ","], ids=["empty", "comma"])
+    def test_empty_pulse_ids_exit_2_before_writing(
+            self, tmp_path, tiny_model, tiny_dataset, extra, ids):
+        rc = cli.main(["landscape", "--model", tiny_model, "--pulses",
+                       f"{tiny_dataset}:{ids}", "--gate", "X", "--grid",
+                       "-1:1:3", "--out", str(tmp_path / "land.csv"),
+                       "--eval-k", "2"] + extra)
+        assert rc == 2
+        assert os.listdir(tmp_path) == []
+
     def test_landscape_csv(self, tmp_path, tiny_model, tiny_dataset):
         out = tmp_path / "land.csv"
         rc = cli.main(["landscape", "--model", tiny_model, "--pulses",
@@ -335,10 +347,13 @@ class TestPsdCheck:
 
 
 class TestNonFiniteConfig:
-    @pytest.mark.parametrize("key, value", [("alpha_1", "nan"),
-                                            ("alpha_2", "inf"),
-                                            ("evolution_time_s", "inf"),
-                                            ("noise_f_min_hz", "nan")])
+    @pytest.mark.parametrize("key, value", [
+        ("alpha_1", "nan"), ("alpha_2", "inf"), ("evolution_time_s", "inf"),
+        ("noise_f_min_hz", "nan"), ("evolution_time_s", "nan"),
+        ("omega_1_rad_s", "nan"), ("omega_1_rad_s", "inf"), ("g_1", "nan"),
+        ("g_1", "inf"), ("carrier_amplitude_1", "nan"),
+        ("carrier_amplitude_1", "inf"), ("drive_frequency_1_rad_s", "nan"),
+        ("drive_frequency_1_rad_s", "inf")])
     @pytest.mark.parametrize("command", ["gen-dataset", "psd-check"])
     def test_exits_2_before_writing(self, tmp_path, key, value, command):
         lines = [line for line in TINY_CFG.splitlines()
@@ -353,6 +368,23 @@ class TestNonFiniteConfig:
             argv += ["--examples", "2", "--workers", "1"]
         assert cli.main(argv) == 2
         assert os.listdir(outdir) == []
+
+    def test_non_finite_example_exits_4_before_writing(
+            self, tmp_path, tiny_config, monkeypatch):
+        # a simulation that overflows must not leave a NaN dataset behind
+        generate = cli.dynamics.generate_dataset
+
+        def overflowing(*args, **kwargs):
+            examples, manifest = generate(*args, **kwargs)
+            examples[1].expectations[0] = np.nan
+            return examples, manifest
+
+        monkeypatch.setattr(cli.dynamics, "generate_dataset", overflowing)
+        rc = cli.main(["gen-dataset", "--config", tiny_config, "--out",
+                       str(tmp_path / "d.jsonl"), "--examples", "2",
+                       "--workers", "1"])
+        assert rc == 4
+        assert os.listdir(tmp_path) == []
 
 
 def _seed_argv(command, ctx, out):

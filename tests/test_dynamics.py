@@ -1,3 +1,4 @@
+import hashlib
 import json
 import multiprocessing
 import os
@@ -6,10 +7,10 @@ import numpy as np
 import pytest
 
 from conftest import STRONG_G3, make_config, random_density
-from qugray import dynamics, noisegen, noiseop, pulses
+from qugray import cli, dynamics, noisegen, noiseop, pulses
 from qugray._kernels import _prop_py, rows_per_call
-from qugray.errors import DatasetIOError, InvalidConfigError, \
-    InvertibilityError
+from qugray.errors import ContractViolationError, DatasetIOError, \
+    InvalidConfigError, InvertibilityError
 
 PAULI_X = np.array([[0, 1], [1, 0]], dtype=complex)
 PAULI_Z = np.array([[1, 0], [0, -1]], dtype=complex)
@@ -350,6 +351,40 @@ class TestDataset:
         assert path.read_bytes() == before
         assert sorted(p.name for p in tmp_path.iterdir()) == \
             ["data.jsonl", "data.jsonl.manifest.json"]
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    @pytest.mark.parametrize("field", ["theta", "expectations"])
+    def test_non_finite_example_not_saved(self, tmp_path, field, value):
+        cfg = make_config(d=2, steps=96, realizations=4)
+        examples, manifest = dynamics.generate_dataset(cfg, 4, seed=9)
+        getattr(examples[2], field)[1] = value
+        with pytest.raises(ContractViolationError, match="example 2"):
+            dynamics.save_dataset(tmp_path / "data.jsonl", examples, manifest)
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("field", ["theta", "expectations"])
+    def test_load_rejects_non_finite_example(self, tmp_path, field):
+        # a NaN token written by another tool, with a matching digest
+        cfg = make_config(d=2, steps=96, realizations=4)
+        examples, manifest = dynamics.generate_dataset(cfg, 4, seed=9)
+        path = tmp_path / "data.jsonl"
+        dynamics.save_dataset(path, examples, manifest)
+        lines = path.read_bytes().splitlines(keepends=True)
+        obj = json.loads(lines[2])
+        obj[field][1] = float("nan")
+        lines[2] = (json.dumps(obj) + "\n").encode()
+        path.write_bytes(b"".join(lines))
+        manifest_file = dynamics.manifest_path(path)
+        edited = json.loads(open(manifest_file).read())
+        edited["examples_sha256"] = hashlib.sha256(b"".join(lines)).hexdigest()
+        with open(manifest_file, "w") as fh:
+            json.dump(edited, fh)
+        with pytest.raises(DatasetIOError, match="example 2 holds a non-fin"):
+            dynamics.load_dataset(path)
+        out = tmp_path / "m.qgm"
+        assert cli.main(["train", "--dataset", str(path), "--out", str(out),
+                         "--iters", "1", "--batch", "2"]) == 3
+        assert not out.exists()
 
     def test_load_rejects_config_hash_mismatch(self, tmp_path):
         cfg = make_config(d=2, steps=96, realizations=4)

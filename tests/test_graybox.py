@@ -4,8 +4,8 @@ import struct
 import numpy as np
 import pytest
 
-from conftest import make_config, random_density
-from qugray import control, dynamics, graybox, noiseop, pulses
+from conftest import finite_difference_check, make_config, random_density
+from qugray import cli, control, dynamics, graybox, noiseop, pulses
 from qugray.errors import ContractViolationError, DatasetIOError, \
     TrainingDiverged
 
@@ -79,6 +79,15 @@ def assert_second_order(errors, seed):
     assert (ratios >= 3.0).all(), f"seed {seed}: errors {errors}"
 
 
+def head_params(model, thetas):
+    """NoiseOperatorParams of the heads' outputs, one per (pulse,
+    observable) pair in that order."""
+    heads = model._heads(model._encode(thetas)[0])
+    return [noiseop.NoiseOperatorParams(model.d, *(
+        heads[k][b, o] for k in ("r", "theta", "psi", "x", "p")))
+        for b in range(len(thetas)) for o in range(model.n_obs)]
+
+
 def randomize_weights(model, seed, scale):
     rng = np.random.Generator(np.random.Philox(seed))
     for name in model.weights:
@@ -106,8 +115,7 @@ class TestArchitecture:
         m = graybox.GrayboxModel(small_cfg, seed=wseed)
         rng = randomize_weights(m, wseed, scale=3.0)
         theta = rng.uniform(-7, 7, size=40)
-        res = m.forward(theta)
-        for P in res.params:
+        for P in head_params(m, theta[None]):
             assert P.r.min() >= 0.0 and P.r.max() <= 1.0
             assert P.theta.min() >= 0.0 and P.theta.max() <= 2 * np.pi
             assert np.abs(P.x).max() <= 1.0
@@ -117,8 +125,7 @@ class TestArchitecture:
     def test_emitted_w_always_physical(self, small_cfg, wseed):
         m = graybox.GrayboxModel(small_cfg, seed=wseed)
         rng = randomize_weights(m, wseed + 100, scale=2.0)
-        res = m.forward(rng.uniform(-5, 5, size=40))
-        for P in res.params:
+        for P in head_params(m, rng.uniform(-5, 5, size=(1, 40))):
             W = noiseop.build_W(P)
             evals = np.linalg.eigvalsh(W)
             assert np.abs(W - W.conj().T).max() < 1e-12
@@ -135,12 +142,11 @@ class TestArchitecture:
         thetas = rng.uniform(-3, 3, size=(4, 2 * (d - 1) * m.n_max))
         V = m.noise_operators(thetas)
         assert V.shape == (4, d * d - 1, d, d)
-        heads = m._heads(m._encode(thetas)[0])
+        params = iter(head_params(m, thetas))
         for b in range(len(thetas)):
             for o in range(d * d - 1):
-                P = noiseop.NoiseOperatorParams(d, *(
-                    heads[k][b, o] for k in ("r", "theta", "psi", "x", "p")))
-                ref = np.linalg.inv(m.shifts[o].shifted) @ noiseop.build_W(P)
+                ref = np.linalg.inv(m.shifts[o].shifted) @ \
+                    noiseop.build_W(next(params))
                 assert np.abs(V[b, o] - ref).max() <= 1e-12
 
     def test_sequence_shaping(self, model):
@@ -265,8 +271,8 @@ class TestLossAndGrad:
 
     def test_gradient_matches_finite_differences(self, model_and_batch):
         model, (thetas, sigmas, targets) = model_and_batch
-        err = graybox.finite_difference_check(model, thetas, targets, sigmas,
-                                              n_weights=20, step=1e-5, seed=0)
+        err = finite_difference_check(model, thetas, targets, sigmas,
+                                      n_weights=20, step=1e-5, seed=0)
         assert err < 1e-4
 
     @pytest.mark.parametrize("d", [2, 3, 4])
@@ -364,15 +370,16 @@ class TestTraining:
         assert record.iterations == 60
         assert len(record.test_mse) == 60
 
-    def test_divergence_aborts(self, small_cfg):
+    def test_divergence_aborts(self, small_cfg, monkeypatch):
         # the bounded heads keep the loss finite, so exercise the abort
         # machinery through its threshold: a sustained loss above
-        # abort_factor * initial must raise after abort_patience iterations
+        # _ABORT_FACTOR * initial must raise after _ABORT_PATIENCE iterations
+        monkeypatch.setattr(graybox, "_ABORT_FACTOR", 0.01)
+        monkeypatch.setattr(graybox, "_ABORT_PATIENCE", 5)
         examples, manifest = self.make_dataset(small_cfg, n=12)
         m = graybox.GrayboxModel(small_cfg, seed=1)
-        hyper = graybox.TrainingHyper(iterations=300, batch_size=8, seed=2,
-                                      abort_factor=0.01, abort_patience=5)
-        with pytest.raises(TrainingDiverged):
+        hyper = graybox.TrainingHyper(iterations=300, batch_size=8, seed=2)
+        with pytest.raises(TrainingDiverged, match="for 5 iterations"):
             m.train(examples, manifest, hyper)
 
     def test_non_finite_loss_aborts(self, small_cfg):
@@ -460,24 +467,37 @@ class TestCheckpoint:
         with pytest.raises(DatasetIOError, match="head.b"):
             graybox.GrayboxModel.load(path)
 
-    def test_version1_file_loads(self, model, batch, tmp_path):
-        # a version-1 file held one block set per observable, including the
-        # cells' recurrent blocks, which only ever multiplied the zero state:
-        # random values there must not move any prediction
-        rng = np.random.default_rng(4)
+    def test_saved_model_predicts_the_same_bits(self, small_cfg, batch,
+                                                tmp_path):
+        # generic weights, through both prediction entry points; saving the
+        # loaded model writes the same bytes
+        m = graybox.GrayboxModel(small_cfg, seed=4)
+        randomize_weights(m, 4, scale=0.5)
+        path = tmp_path / "model.qgm"
+        m.save(path)
+        back = graybox.GrayboxModel.load(path)
+        thetas, sigmas, _ = batch
+        assert np.array_equal(back.forward_batch(thetas, sigmas)[0],
+                              m.forward_batch(thetas, sigmas)[0])
+        for theta in thetas:
+            assert np.array_equal(back.expectations(theta),
+                                  m.expectations(theta))
+        back.save(tmp_path / "again.qgm")
+        assert (tmp_path / "again.qgm").read_bytes() == path.read_bytes()
+
+    def test_version1_file_rejected(self, model, tmp_path):
+        # version 1 held one block set per observable, obs{o}.Wz, head{o}.W,
+        # ..., plus cell blocks that only multiplied the zero state
         H = model.hidden
         blocks = {n: w for n, w in model.weights.items()
                   if n.startswith("enc.")}
         for o in range(model.n_obs):
-            for gate in "zh":
-                blocks[f"obs{o}.W{gate}"] = model.weights[f"obs.W{gate}"][o]
-                blocks[f"obs{o}.b{gate}"] = model.weights[f"obs.b{gate}"][o]
-            for gate in "zrh":
-                blocks[f"obs{o}.U{gate}"] = rng.normal(size=(H, H))
-            blocks[f"obs{o}.Wr"] = rng.normal(size=(H, H))
-            blocks[f"obs{o}.br"] = rng.normal(size=H)
-            blocks[f"head{o}.W"] = model.weights["head.W"][o]
-            blocks[f"head{o}.b"] = model.weights["head.b"][o]
+            for name in ("obs.Wz", "obs.bz", "obs.Wh", "obs.bh", "head.W",
+                         "head.b"):
+                blocks[name.replace(".", f"{o}.")] = model.weights[name][o]
+            for dead in ("Uz", "Ur", "Uh", "Wr"):
+                blocks[f"obs{o}.{dead}"] = np.zeros((H, H))
+            blocks[f"obs{o}.br"] = np.zeros(H)
         names = sorted(blocks)
         header = {"format": "qugray-model", "version": 1, "dim": model.d,
                   "n_max": model.n_max, "hidden": H, "n_obs": model.n_obs,
@@ -489,13 +509,13 @@ class TestCheckpoint:
                            .tobytes() for n in names)
         path = tmp_path / "v1.qgm"
         write_model_file(path, header, payload)
-        back = graybox.GrayboxModel.load(path)
-        assert sorted(back.weights) == model.weight_names()
-        assert back.dataset_hash == "v1hash"
-        thetas, sigmas, _ = batch
-        pred_v2, _ = model.forward_batch(thetas, sigmas)
-        pred_v1, _ = back.forward_batch(thetas, sigmas)
-        assert np.abs(pred_v1 - pred_v2).max() <= 1e-12
+        with pytest.raises(DatasetIOError, match="version 1"):
+            graybox.GrayboxModel.load(path)
+        out = tmp_path / "result.json"
+        assert cli.main(["optimize", "--model", str(path), "--gate", "X01",
+                         "--out", str(out), "--restarts", "1", "--iters", "1",
+                         "--workers", "1"]) == 3
+        assert not out.exists()
 
     def test_failed_save_keeps_previous_file(self, small_cfg, tmp_path):
         path = tmp_path / "model.qgm"
@@ -583,7 +603,8 @@ class TestStateCache:
         thetas[6] *= 30.0  # far outside the box: more squarings
         sigmas = model.precompute_states(thetas)
         for theta, sigma in zip(thetas, sigmas):
-            assert np.array_equal(sigma, model.state_stack(theta))
+            assert np.array_equal(sigma,
+                                  model.precompute_states(theta[None])[0])
 
 
 class TestExactClosedModel:

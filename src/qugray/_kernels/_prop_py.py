@@ -39,9 +39,22 @@ compute the upper triangle only and share each entry with its mirror. The
 time-ordered product is a pairwise tree over the step axis; once a level
 holds few matrices the per-call overhead outweighs the vector length, and the
 remaining levels run on one stacked array.
+
+Pulse gradient (closed, one wave): the adjoint of the product above, built
+from the same pieces, with no LAPACK call. Each step's derivative
+dS_k/df_k comes from the complex step (Al-Mohy & Higham, Numer. Algorithms
+53, 133 (2010)): `_cos_neg_sin` is dtype-generic, and evaluated at
+X_k + i h E with E = dX_k/df_k and h ||E|| ~ 1e-20, the imaginary parts over
+h are the derivatives of the kernel's own polynomials and double-angle
+steps, to rounding and with no subtraction. The cotangents
+Lambda_k = B_k G^H A_k (U = A_k S_k B_k) come from a reverse sweep down the
+tree the forward built: a node N = L R passes Omega_N L to R and R Omega_N
+to L, from Omega = G^H at the root (times the trace phase, a scalar) to
+every step. No (M, d, d) stack is formed.
 """
 
 import math
+from typing import NamedTuple
 
 import numpy as np
 
@@ -161,7 +174,7 @@ def _reduce(coefs, c, work):
     start = max(0, len(coefs) - d)
     r = list(coefs[start:]) + [0.0] * (d + start - len(coefs))
     if start:
-        r = [np.full(work.shape, value) for value in r]
+        r = [np.full(work.shape, value, dtype=work.dtype) for value in r]
     for a in reversed(coefs[:start]):
         top = r[-1]
         # r_m <- r_{m-1} + top c_m, into r_{m-1}'s array; top's array,
@@ -194,13 +207,14 @@ def _cos_neg_sin(x, degree, squarings, out=(None, None)):
     """(cos X, -sin X) for a traceless symmetric stack X, both symmetric
     stacks, by the degree-`degree` polynomials at X / 2^squarings and
     double-angle steps. The last operation writes into the stacks `out`
-    holds, where given."""
+    holds, where given. Every array follows X's dtype: a complex X (a complex
+    step) runs the same operations as a real one."""
     d = len(x)
     if squarings:
         scale = 2.0 ** -squarings
         x = _mirror([x[i][j] * scale for i, j in _upper(d)], d)
     # one scratch array for every elementwise product below
-    work = np.empty(x[0][0].shape)
+    work = np.empty(x[0][0].shape, dtype=x[0][0].dtype)
     powers = [None, x]
     while len(powers) < d:
         powers.append(_sym_matmul(powers[-1], x, work))
@@ -224,9 +238,9 @@ def _cos_neg_sin(x, degree, squarings, out=(None, None)):
     return cos, neg_sin
 
 
-def _step_unitaries(drift_diag, coupling, waves, noise_diags, dt):
-    """Traceless-part step unitaries cos X_k - i sin X_k as an (R, M) stack,
-    and the trace shifts mu_k, shape (R, M).
+def _generators(drift_diag, coupling, waves, noise_diags, dt):
+    """The traceless step generators X_k as a symmetric (R, M) stack, the
+    trace shifts mu_k, shape (R, M), and each row's (degree, squarings).
 
     waves: (R, M), or (M,) shared by every row; noise_diags: (R, M, d) or
     None. R is the larger leading length of the two.
@@ -251,14 +265,21 @@ def _step_unitaries(drift_diag, coupling, waves, noise_diags, dt):
             x[i][j] = x[j][i] = np.ascontiguousarray(
                 np.broadcast_to(off, (R, M)))
             peak[i][j] = peak[j][i] = np.abs(off).max(axis=-1)
-    orders = _row_orders(peak)
+    return x, mu, _row_orders(peak)
+
+
+def _step_unitaries(x, orders):
+    """Traceless-part step unitaries cos X_k - i sin X_k as an (R, M) stack,
+    row r evaluated at the degree and squarings orders[r]."""
+    d = len(x)
+    R, M = x[0][0].shape
     groups = sorted(set(orders))
     u = _mirror([np.empty((R, M), dtype=complex) for _ in _upper(d)], d)
     if len(groups) == 1:
         # the last operation writes cos and -sin into the complex entries
         _cos_neg_sin(x, *groups[0], out=([[e.real for e in row] for row in u],
                                          [[e.imag for e in row] for row in u]))
-        return u, mu
+        return u
     for degree, squarings in groups:
         rows = np.flatnonzero([o == (degree, squarings) for o in orders])
         xg = _mirror([x[i][j][rows] for i, j in _upper(d)], d)
@@ -266,7 +287,7 @@ def _step_unitaries(drift_diag, coupling, waves, noise_diags, dt):
         for i, j in _upper(d):
             u[i][j].real[rows] = cos[i][j]
             u[i][j].imag[rows] = neg_sin[i][j]
-    return u, mu
+    return u
 
 
 def _product(a, b):
@@ -278,23 +299,35 @@ def _product(a, b):
     return out
 
 
-def _chain(u):
+def _chain(u, record=False):
     """Ordered product U[M-1] @ ... @ U[0] along the step axis -> (R, d, d).
 
     A pairwise tree. Its levels run on the nested list while they hold many
     matrices, then on one (d, d, R, steps) array, where a level costs d
     calls instead of d^3. Both compute each entry by the same sum, so where
-    the switch falls changes no bit of any row.
+    the switch falls changes no bit of any row. An odd level sets its last
+    matrix aside; the leftovers join the top node at the end, the last set
+    aside first.
+
+    With record, also returns the tree for `_sweep`: `levels`, one
+    (nodes, leftover) pair per level (the matrices that pair up, as the
+    level's nested list or stacked array, and the (d, d, R) leftover or
+    None), and `joins`, one (leftover, partial) pair per leftover joined
+    on, in that order, partial being the product it left-multiplies.
     """
     d = len(u)
-    leftovers = []
+    leftovers, levels, joins = [], [], []
     # one scratch buffer for every nested-list level's products
     rows, steps = u[0][0].shape
     buffer = np.empty(rows * (steps // 2), dtype=u[0][0].dtype)
     while u[0][0].size >= _STACK_BELOW and u[0][0].shape[1] > 1:
+        left = None
         if u[0][0].shape[1] % 2 == 1:
-            leftovers.append(np.array([[e[:, -1] for e in row] for row in u]))
+            left = np.array([[e[:, -1] for e in row] for row in u])
+            leftovers.append(left)
             u = [[e[:, :-1] for e in row] for row in u]
+        if record:
+            levels.append((u, left))
         later = [[e[:, 1::2] for e in row] for row in u]
         earlier = [[e[:, 0::2] for e in row] for row in u]
         shape = later[0][0].shape
@@ -303,14 +336,61 @@ def _chain(u):
              for i in range(d)]
     stack = np.array(u)
     while stack.shape[-1] > 1:
+        left = None
         if stack.shape[-1] % 2 == 1:
-            leftovers.append(stack[..., -1])
+            left = stack[..., -1]
+            leftovers.append(left)
             stack = stack[..., :-1]
+        if record:
+            levels.append((stack, left))
         stack = _product(stack[..., 1::2], stack[..., 0::2])
     out = stack[..., 0]
     for left in reversed(leftovers):
+        if record:
+            joins.append((left, out))
         out = _product(left, out)
-    return np.moveaxis(out, -1, 0)
+    out = np.moveaxis(out, -1, 0)
+    return (out, levels, joins) if record else out
+
+
+def _sweep(omega, levels, joins):
+    """Omega_k = B_k Omega A_k for every step k of the tree `_chain`
+    recorded (its product V = A_k u_k B_k), given the root's Omega, (d, d,
+    R). The sweep runs the tree top down: a node N = L R (L the later half)
+    passes Omega_N L to R and R Omega_N to L, and each leftover is such an
+    L, joined to the partial product R. Returns the steps' Omega_k,
+    indexable [i][j] -> (R, M)."""
+    d = len(omega)
+    left_omegas = []  # root first, which is the order of the levels
+    for left, partial in reversed(joins):
+        left_omegas.append(_product(partial, omega))
+        omega = _product(omega, left)
+    omega = omega[..., None]  # the top node's, (d, d, R, 1)
+    for nodes, left in reversed(levels):
+        # omega holds the nodes' parents, the level above
+        rows, m = nodes[0][0].shape
+        width = m + (left is not None)
+        if isinstance(nodes, np.ndarray):
+            full = np.empty((d, d, rows, width), dtype=complex)
+            full[..., 0:m:2] = _product(omega, nodes[..., 1::2])
+            full[..., 1:m:2] = _product(nodes[..., 0::2], omega)
+        else:
+            later = [[e[:, 1::2] for e in row] for row in nodes]
+            earlier = [[e[:, 0::2] for e in row] for row in nodes]
+            work = np.empty(later[0][0].shape, dtype=complex)
+            full = [[np.empty((rows, width), dtype=complex)
+                     for _ in range(d)] for _ in range(d)]
+            for i in range(d):
+                for j in range(d):
+                    _entry(omega, later, i, j, work, full[i][j][:, 0:m:2])
+                    _entry(earlier, omega, i, j, work, full[i][j][:, 1:m:2])
+        if left is not None:
+            left_omega = left_omegas.pop()
+            for i in range(d):
+                for j in range(d):
+                    full[i][j][:, m] = left_omega[i, j]
+        omega = full
+    return omega
 
 
 def _real_coupling(coupling):
@@ -323,16 +403,30 @@ def _real_coupling(coupling):
     return coupling.astype(float)
 
 
+class Tape(NamedTuple):
+    """What `pullback_closed` needs from a one-wave forward pass."""
+
+    coupling: np.ndarray  # C, (d, d) real symmetric
+    dt: float
+    x: list  # the step generators X_k, a symmetric (1, M) stack
+    order: tuple  # the (degree, squarings) the forward evaluated them at
+    phase: float  # phi = dt sum_k mu_k
+    u: np.ndarray  # the propagator U, (d, d)
+    levels: list  # the tree, as `_chain` records it
+    joins: list
+
+
 def _propagate(drift_diag, coupling, waves, noise_diags, dt,
-               return_steps=False):
-    u, mu = _step_unitaries(drift_diag, coupling, waves, noise_diags, dt)
+               return_tape=False):
+    x, mu, orders = _generators(drift_diag, coupling, waves, noise_diags, dt)
+    u = _step_unitaries(x, orders)
     phase = dt * mu.sum(axis=-1)
-    out = _chain(u) * np.exp(-1j * phase)[:, None, None]
-    if not return_steps:
-        return out
-    # the one row's full step unitaries exp(-i dt H_k), (M, d, d)
-    steps = np.array([[e[0] for e in row] for row in u]).transpose(2, 0, 1)
-    return out, steps * np.exp(-1j * dt * mu[0])[:, None, None]
+    if not return_tape:
+        return _chain(u) * np.exp(-1j * phase)[:, None, None]
+    v, levels, joins = _chain(u, record=True)
+    out = v * np.exp(-1j * phase)[:, None, None]
+    return out, Tape(coupling, dt, x, orders[0], phase[0], out[0], levels,
+                     joins)
 
 
 def rows_per_call(steps, dim):
@@ -342,86 +436,62 @@ def rows_per_call(steps, dim):
     return max(1, _CALL_ENTRIES // (steps * dim * dim))
 
 
-def propagate_piecewise(drift_diag, coupling, wave, dt, return_steps=False):
+def propagate_piecewise(drift_diag, coupling, wave, dt, return_tape=False):
     """Closed (noise-free) time-ordered product for one pulse or pulse rows.
 
     drift_diag: (d,) float, coupling: (d, d) real symmetric (complex dtype
     with zero imaginary part accepted), wave: (M,) float, or (B, M) for B
     pulses propagated as rows of one call. Returns (d, d), or (B, d, d) for
     a (B, M) wave; each row equals its single-wave result bit for bit. With
-    return_steps (a 1-D wave only), also the trajectory's step unitaries
-    exp(-i dt H_k), shape (M, d, d), for `pullback_closed`.
+    return_tape (a 1-D wave only), also the `Tape` that `pullback_closed`
+    takes.
     """
     drift_diag = np.asarray(drift_diag, dtype=float)
     wave = np.asarray(wave, dtype=float)
-    if return_steps and wave.ndim != 1:
-        raise ValueError("return_steps needs a single (M,) wave, got shape "
+    if return_tape and wave.ndim != 1:
+        raise ValueError("return_tape needs a single (M,) wave, got shape "
                          f"{wave.shape}")
     out = _propagate(drift_diag, _real_coupling(coupling), wave, None, dt,
-                     return_steps)
-    if return_steps:
+                     return_tape)
+    if return_tape:
         return out[0][0], out[1]
     return out if wave.ndim == 2 else out[0]
 
 
-def _prefix_products(steps):
-    """P_k = S_k ... S_0 for a (M, d, d) stack, by a blocked scan: blocks
-    of ~sqrt(M) steps are scanned side by side, then each block is carried
-    by the product of all blocks before it. That is ~2M stacked products
-    in ~2 sqrt(M) calls."""
-    M, d = steps.shape[:2]
-    size = math.isqrt(M)
-    count = -(-M // size)
-    blocks = np.empty((count * size, d, d), dtype=steps.dtype)
-    blocks[:M] = steps
-    blocks[M:] = np.eye(d)
-    blocks = blocks.reshape(count, size, d, d)
-    for t in range(1, size):
-        blocks[:, t] = blocks[:, t] @ blocks[:, t - 1]
-    carries = [blocks[0, -1]]
-    for j in range(1, count - 1):
-        carries.append(blocks[j, -1] @ carries[-1])
-    if count > 1:
-        blocks[1:] = blocks[1:] @ np.array(carries)[:, None]
-    return blocks.reshape(-1, d, d)[:M]
-
-
-def pullback_closed(drift_diag, coupling, wave, dt, g_u, steps):
+def pullback_closed(g_u, tape):
     """dL/dwave, shape (M,), for a real function L of the closed propagator
     U = propagate_piecewise(drift_diag, coupling, wave, dt), given the
-    conjugate cotangent G = dL/d conj(U), (d, d), and `steps`, the step
-    unitaries that forward call returns with return_steps=True.
+    conjugate cotangent G = dL/d conj(U), (d, d), and the `tape` that
+    forward call returns with return_tape=True.
 
-    With steps S_k = exp(-i dt H_k) (the kernel's own step unitaries times
-    their trace phases), prefixes P_k = S_k ... S_0 and U = P_{M-1},
-    dU/df_k = A_k F_k B_k with A_k = U P_k^H, B_k = P_{k-1} and
-    F_k = dS_k/df_k, so dL/df_k = 2 Re tr(B_k G^H A_k F_k). In the eigenbasis
-    H_k = Q diag(lambda) Q^T, F_k = -i dt Q (Gamma o Q^T C Q) Q^T with the
-    divided differences of exp in branch-free form,
-    Gamma_ab = exp(-i dt (lambda_a + lambda_b) / 2)
-               sinc(dt (lambda_a - lambda_b) / 2 pi),
-    exact at degenerate eigenvalues.
+    U = e^{-i phi} V, where V = u_{M-1} ... u_0 is the tree product of the
+    traceless-part steps u_k = cos X_k - i sin X_k. With V = A_k u_k B_k,
+    dL/df_k = 2 Re tr(G^H dU/df_k) has two parts:
+    - the steps: 2 Re sum_ij (Lambda_k)_ij (D_k)_ji, with
+      Lambda_k = B_k (e^{-i phi} G^H) A_k from `_sweep`, and
+      D_k = du_k/df_k = L_cos + i L_neg_sin by the complex step: the
+      imaginary parts over h of `_cos_neg_sin` at X_k + i h E, with
+      E = dX_k/df_k = dt (C - tr C / d I) and h ||E||_1 = 1e-20, at the
+      degree and squarings of the forward. E is traceless, so the
+      Cayley-Hamilton recurrence holds at the complex point too;
+    - the trace phase: dphi/df_k = dt tr C / d for every k, which adds
+      2 dt (tr C / d) Im tr(G^H U).
+    U is the forward's, never the real part of the complex evaluation.
     """
-    drift_diag = np.asarray(drift_diag, dtype=float)
-    coupling = _real_coupling(coupling)
-    wave = np.asarray(wave, dtype=float)
-    d = drift_diag.shape[0]
-    h = np.diag(drift_diag) + wave[:, None, None] * coupling  # (M, d, d)
-    prefix = _prefix_products(steps)
-    before = np.empty_like(prefix)
-    before[0] = np.eye(d)
-    before[1:] = prefix[:-1]
-    # B_k G^H A_k = P_{k-1} (G^H U) P_k^H
-    m = before @ (np.asarray(g_u).conj().T @ prefix[-1]) \
-        @ prefix.conj().swapaxes(-1, -2)
-    lam, q = np.linalg.eigh(h)
-    gamma = np.exp(-0.5j * dt * (lam[:, :, None] + lam[:, None, :])) \
-        * np.sinc(dt * (lam[:, :, None] - lam[:, None, :]) / (2.0 * np.pi))
-    qt = q.swapaxes(-1, -2)
-    # tr(M F) = -i dt sum_ab (Q^T M Q)_ab Gamma_ab (Q^T C Q)_ab, both
-    # Gamma and Q^T C Q being symmetric
-    weighted = gamma * (qt @ coupling @ q)
-    return 2.0 * dt * np.einsum("kab,kab->k", qt @ m @ q, weighted).imag
+    d = len(tape.x)
+    c = tape.coupling
+    e = tape.dt * (c - np.trace(c) / d * np.eye(d))
+    norm = np.abs(e).sum(axis=1).max()
+    h = 1e-20 / norm if norm else 1.0
+    z = _mirror([tape.x[i][j] + (1j * h * e[i, j]) for i, j in _upper(d)], d)
+    cos, neg_sin = _cos_neg_sin(z, *tape.order)
+    root = np.exp(-1j * tape.phase) * np.asarray(g_u).conj().T
+    lam = _sweep(root[:, :, None], tape.levels, tape.joins)
+    steps = _sum([lam[i][j].real * cos[j][i].imag
+                  - lam[i][j].imag * neg_sin[j][i].imag
+                  for i in range(d) for j in range(d)])
+    trace = np.trace(c) / d * np.vdot(g_u, tape.u).imag
+    return (2.0 / h) * steps[0] + 2.0 * tape.dt * trace
 
 
 def propagate_piecewise_batch(drift_diag, coupling, wave, noise_diags, dt):

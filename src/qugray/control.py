@@ -4,7 +4,10 @@ The cost is the squared mismatch, summed over the informationally complete
 state/observable grid, between the ideal expectations of the target gate and
 the model's predictions. Its gradient is exact: the model's reverse mode
 (`cost_and_grad`) runs through the blackbox and, by adjoint propagation,
-through U_0 (GRAPE; Khaneja et al., J. Magn. Reson. 172, 296 (2005)).
+through U_0 (GRAPE; Khaneja et al., J. Magn. Reson. 172, 296 (2005)). The
+U_0 part makes no LAPACK call: each step's derivative is a complex step
+through the propagation kernel's own cos/sin polynomials, and the adjoint
+cotangents come from a reverse sweep down the kernel's product tree.
 Optimization is multi-start scipy L-BFGS-B inside the amplitude box, in
 coordinates u = theta / a_max; each restart is deterministic in (seed, restart
 index) and the best restart wins with lowest-index tie-breaking, so results
@@ -75,14 +78,6 @@ def target_expectations(model, gate_unitary):
     """Ideal expectation vector tr(G rho G^H O) over the dataset grid."""
     G = np.asarray(gate_unitary, dtype=complex)
     return dynamics.expectations_from_propagators(G[None], model.basis)
-
-
-def gate_cost(model, theta, gate_unitary, targets=None):
-    """Sum of squared expectation mismatches (not averaged)."""
-    if targets is None:
-        targets = target_expectations(model, gate_unitary)
-    pred = model.expectations(np.asarray(theta, dtype=float))
-    return float(np.sum((pred - targets) ** 2))
 
 
 @dataclass

@@ -178,14 +178,13 @@ def propagate_closed_batch(config, thetas):
 
 def closed_forward(config, params):
     """(U_0, tape): the closed propagator of one pulse, and what
-    pullback_propagate_closed needs from this forward pass (the waveform,
-    the step unitaries and the pulse's n_max). U_0 is the same bits as the
-    pulse's row of `propagate_closed_batch`: both run one kernel row."""
+    pullback_propagate_closed needs from this forward pass (the kernel's
+    tape and the pulse's n_max). U_0 is the same bits as the pulse's row of
+    `propagate_closed_batch`: both run one kernel row."""
     wave = pulses.waveform(params, config.carrier)
-    u0, steps = propagate_piecewise(np.array(config.omega), config.coupling,
-                                    wave, config.carrier.dt,
-                                    return_steps=True)
-    return u0, (wave, steps, params.n_max)
+    u0, tape = propagate_piecewise(np.array(config.omega), config.coupling,
+                                   wave, config.carrier.dt, return_tape=True)
+    return u0, (tape, params.n_max)
 
 
 def propagate_closed(config, params):
@@ -196,10 +195,9 @@ def propagate_closed(config, params):
 def pullback_propagate_closed(config, tape, g_u):
     """dL/dtheta (flattened pulse layout) for a real function L of U_0, given
     the tape of its closed_forward pass and G = dL/d conj(U_0)."""
-    wave, steps, n_max = tape
-    g_wave = pullback_closed(np.array(config.omega), config.coupling, wave,
-                             config.carrier.dt, g_u, steps=steps)
-    return pulses.waveform_transpose(g_wave, config.carrier, n_max)
+    kernel_tape, n_max = tape
+    return pulses.waveform_transpose(pullback_closed(g_u, kernel_tape),
+                                     config.carrier, n_max)
 
 
 def propagate_ensemble(config, params, real_set):

@@ -33,7 +33,9 @@ Gradients are exact reverse-mode derivatives, hand-derived; U_0 carries no
 trainable weights and is treated as a constant per example (cached before
 training). Training is plain adaptive-moment SGD. The same reverse mode gives
 the gate cost's pulse gradient (`cost_and_grad`): through the encoder input,
-and through U_0 by the propagation kernel's adjoint pullback.
+and through U_0 by the propagation kernel's adjoint pullback, which takes
+each step's derivative by a complex step through the kernel's own cos/sin
+and the cotangents by a reverse sweep down the tree that built U_0.
 
 Singular observables use the "interior" shift b = ||O||/2: the exact shifted
 noise operator then keeps sum_i |eig| <= d and |trace| <= d, so it stays

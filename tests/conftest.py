@@ -64,6 +64,13 @@ def random_density(d, rng):
     return rho / np.trace(rho).real
 
 
+def gate_cost(model, theta, targets):
+    """Sum of squared mismatches between the model's expectations for one
+    pulse and `targets` (not averaged): the cost `cost_and_grad` returns."""
+    pred = model.expectations(np.asarray(theta, dtype=float))
+    return float(np.sum((pred - targets) ** 2))
+
+
 def finite_difference_check(model, thetas, targets, sigmas, n_weights=20,
                             step=1e-5, seed=0):
     """Compare analytic gradients against central differences on a sample of

@@ -4,7 +4,8 @@ import struct
 import numpy as np
 import pytest
 
-from conftest import finite_difference_check, make_config, random_density
+from conftest import finite_difference_check, gate_cost, make_config, \
+    random_density
 from qugray import cli, control, dynamics, graybox, noiseop, pulses
 from qugray.errors import ContractViolationError, DatasetIOError, \
     TrainingDiverged
@@ -55,10 +56,10 @@ def pulse_gradient_error(model, seed=0):
     targets = control.target_expectations(
         model, control.parse_gate("X01", model.d).unitary)
     cost, grad = model.cost_and_grad(theta, targets)
-    assert cost == control.gate_cost(model, theta, None, targets)
+    assert cost == gate_cost(model, theta, targets)
     h = 1e-6 * a_max
-    fd = np.array([(control.gate_cost(model, theta + h * e, None, targets)
-                    - control.gate_cost(model, theta - h * e, None, targets))
+    fd = np.array([(gate_cost(model, theta + h * e, targets)
+                    - gate_cost(model, theta - h * e, targets))
                    / (2.0 * h) for e in np.eye(L)])
     return np.linalg.norm(grad - fd) / np.linalg.norm(fd)
 
@@ -282,6 +283,29 @@ class TestLossAndGrad:
                                  seed=3)
         randomize_weights(m, d, scale=0.3)
         assert pulse_gradient_error(m) <= 1e-6
+
+    @pytest.mark.parametrize("kind", ["graybox", "exact"])
+    def test_pulse_gradient_makes_no_lapack_call(self, kind, monkeypatch):
+        # 600 steps: the tree has nested-list levels as well as stacked ones
+        cfg = make_config(d=3, steps=600, realizations=4)
+        if kind == "exact":
+            m = graybox.ExactClosedModel(cfg)
+        else:
+            m = graybox.GrayboxModel(cfg, seed=3)
+        targets = control.target_expectations(
+            m, control.parse_gate("X01", 3).unitary)
+        theta = np.random.default_rng(0).uniform(-0.6, 0.6, size=40) \
+            * cfg.a_max()
+        cost, grad = m.cost_and_grad(theta, targets)
+
+        def lapack(*args, **kwargs):
+            raise AssertionError("LAPACK call in cost_and_grad")
+
+        for name in ("eigh", "eig", "eigvalsh", "solve"):
+            monkeypatch.setattr(np.linalg, name, lapack)
+        patched_cost, patched_grad = m.cost_and_grad(theta, targets)
+        assert patched_cost == cost
+        np.testing.assert_array_equal(patched_grad, grad)
 
     def test_gradient_passes_directional_taylor_test(self, model_and_batch):
         # every weight moves at once along a random unit direction, so no

@@ -71,37 +71,69 @@ class TestPullback:
             S, F = scipy.linalg.expm_frechet(-1j * dt * H, -1j * dt * coupling)
             steps.append(S)
             derivs.append(F)
-        out = []
-        for k in range(len(wave)):
-            dU = np.eye(len(drift), dtype=complex)
-            for j in range(len(wave)):
-                dU = (derivs[j] if j == k else steps[j]) @ dU
-            out.append(2.0 * np.real(np.sum(G.conj() * dU)))
-        return np.array(out)
+        d, M = len(drift), len(wave)
+        # before[k] = S_{k-1} ... S_0, after[k] = S_{M-1} ... S_{k+1}
+        before, after = [np.eye(d)], [np.eye(d)]
+        for k in range(M - 1):
+            before.append(steps[k] @ before[-1])
+            after.append(after[-1] @ steps[M - 1 - k])
+        after.reverse()
+        return np.array([
+            2.0 * np.real(np.sum(G.conj() * (after[k] @ derivs[k]
+                                             @ before[k])))
+            for k in range(M)])
 
-    @pytest.mark.parametrize("d", [2, 3, 4])
-    @pytest.mark.parametrize("degenerate", [False, True])
-    def test_matches_frechet_oracle(self, d, degenerate):
-        drift, coupling, wave, _ = problem(d=d, M=6)
-        if degenerate:
+    @staticmethod
+    def case_problem(case, d):
+        """(drift, coupling, wave, dt) for one case: `long` crosses odd
+        nested and stacked tree levels; `norm-*` scales dt so the kernel's
+        step-norm bound is 1.5 or 6, which take 1 or 3 double-angle steps;
+        `diagonal-coupling` has tr C != 0, so the trace phases move."""
+        drift, coupling, wave, _ = problem(d=d, M=519 if case == "long" else 6)
+        dt = 1e-2
+        if case == "degenerate":
             # zero drift and drive: H_k = 0, every eigenvalue coincides
             drift, wave = np.zeros(d), np.zeros(6)
+        elif case == "diagonal-coupling":
+            coupling = coupling + np.diag(np.linspace(0.5, 2.0, d))
+        elif case.startswith("norm-"):
+            h = np.diag(drift) + wave[:, None, None] * coupling.real
+            x = h - np.eye(d) * np.trace(h, axis1=1, axis2=2)[:, None,
+                                                              None] / d
+            bound = np.abs(x).max(axis=0).sum(axis=1).max()
+            dt = float(case[5:]) / bound
+        return drift, coupling, wave, dt
+
+    @pytest.mark.parametrize("case, d", [
+        *[pytest.param("generic", d, id=f"False-{d}") for d in (2, 3, 4)],
+        *[pytest.param("degenerate", d, id=f"True-{d}") for d in (2, 3, 4)],
+        *[(case, d) for case in ("norm-1.5", "norm-6", "diagonal-coupling")
+          for d in (2, 3, 4)],
+        ("long", 3)])
+    def test_matches_frechet_oracle(self, case, d):
+        drift, coupling, wave, dt = self.case_problem(case, d)
         G = np.random.default_rng(d).normal(size=(d, d, 2)) @ [1.0, 1j]
-        _, steps = propagate_piecewise(drift, coupling, wave, 1e-2,
-                                       return_steps=True)
-        got = _prop_py.pullback_closed(drift, coupling, wave, 1e-2, G, steps)
-        ref = self.frechet_oracle(drift, coupling, wave, 1e-2, G)
+        _, tape = propagate_piecewise(drift, coupling, wave, dt,
+                                      return_tape=True)
+        if case.startswith("norm-"):
+            assert tape.order[1] == {"norm-1.5": 1, "norm-6": 3}[case]
+        if case == "long":
+            leftovers = [isinstance(nodes, np.ndarray)
+                         for nodes, left in tape.levels if left is not None]
+            assert set(leftovers) == {False, True}
+        got = _prop_py.pullback_closed(G, tape)
+        ref = self.frechet_oracle(drift, coupling, wave, dt, G)
         assert np.abs(got - ref).max() <= 1e-10 * np.abs(ref).max()
 
-    def test_steps_need_a_single_wave(self):
+    def test_tape_needs_a_single_wave(self):
         drift, coupling, wave, _ = problem(d=3, M=6)
         u, _ = propagate_piecewise(drift, coupling, wave, 1e-2,
-                                   return_steps=True)
+                                   return_tape=True)
         np.testing.assert_array_equal(
             u, propagate_piecewise(drift, coupling, wave, 1e-2))
         with pytest.raises(ValueError, match="single"):
             propagate_piecewise(drift, coupling, np.stack([wave, wave]), 1e-2,
-                                return_steps=True)
+                                return_tape=True)
 
 
 class TestStepExponential:

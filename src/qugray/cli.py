@@ -80,6 +80,9 @@ def cmd_gen_dataset(args):
 
 
 def cmd_train(args):
+    if args.log_every < 0:
+        raise InvalidConfigError(f"--log-every {args.log_every}: needs >= 0 "
+                                 "(0 logs nothing)")
     examples, manifest = dynamics.load_dataset(args.dataset)
     cfg = dynamics.SystemConfig.from_dict(manifest["config"])
     model = graybox.GrayboxModel(cfg, hidden=args.hidden, seed=args.seed)
@@ -91,9 +94,8 @@ def cmd_train(args):
     curves = args.curves or f"{args.out}.curves.csv"
     with fileio.atomic_write(curves) as fh:
         fh.write("iteration,train_mse,test_mse\n")
-        for i, (tr, te) in enumerate(zip(record.train_mse, record.test_mse),
-                                     start=1):
-            fh.write(f"{i},{tr!r},{te!r}\n")
+        for i, te in zip(record.eval_iterations, record.test_mse):
+            fh.write(f"{i},{record.train_mse[i - 1]!r},{te!r}\n")
     print(f"trained {record.iterations} iterations in {record.wall_time:.1f} s; "
           f"final train MSE {record.train_mse[-1]:.3e}, "
           f"test MSE {record.test_mse[-1]:.3e}; model -> {args.out}")
@@ -275,8 +277,12 @@ def build_parser():
     p.add_argument("--step", type=float, default=1e-3)
     p.add_argument("--batch", type=int, default=256)
     p.add_argument("--hidden", type=int, default=graybox.HIDDEN_UNITS)
-    p.add_argument("--curves", default=None, help="loss curve CSV path")
-    p.add_argument("--log-every", type=int, default=0)
+    p.add_argument("--curves", default=None,
+                   help="loss curve CSV path; one row per iteration at "
+                        "which the test loss was evaluated")
+    p.add_argument("--log-every", type=int, default=0,
+                   help="print and evaluate every N iterations; 0 prints "
+                        "nothing")
     p.set_defaults(func=cmd_train)
 
     p = sub.add_parser("optimize", help="optimize a pulse for a target gate")

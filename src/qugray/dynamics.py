@@ -404,8 +404,8 @@ def save_dataset(path, examples, manifest):
     digest = hashlib.sha256()
     with fileio.atomic_write(path, "wb") as fh:
         for ex in examples:
-            line = json.dumps({"theta": list(ex.theta),
-                               "expectations": list(ex.expectations)})
+            line = json.dumps({"theta": ex.theta.tolist(),
+                               "expectations": ex.expectations.tolist()})
             line = (line + "\n").encode()
             digest.update(line)
             fh.write(line)

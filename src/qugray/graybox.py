@@ -125,6 +125,10 @@ _BETA1, _BETA2, _ADAM_EPS, _DECAY_AT, _DECAY_FACTOR = 0.9, 0.999, 1e-8, 0.7, 0.1
 # training aborts once the loss stays above _ABORT_FACTOR x its first value
 # for _ABORT_PATIENCE iterations in a row
 _ABORT_FACTOR, _ABORT_PATIENCE = 10.0, 50
+# the test-set loss is evaluated every _EVAL_EVERY iterations (and at every
+# logged and the final iteration): on the paper's split it costs about four
+# training steps
+_EVAL_EVERY = 10
 
 
 @dataclass
@@ -147,8 +151,13 @@ class TrainingHyper:
 
 @dataclass
 class TrainingRecord:
+    """train_mse holds every iteration's batch loss; test_mse[j] is the
+    test-set loss after iteration eval_iterations[j] (1-based), NaN for a
+    dataset without a test split."""
+
     train_mse: list = field(default_factory=list)
     test_mse: list = field(default_factory=list)
+    eval_iterations: list = field(default_factory=list)
     wall_time: float = 0.0
     seed: int = 0
     dataset_hash: str = ""
@@ -162,6 +171,13 @@ class GrayboxModel:
     """d^2 - 1 observable heads over a shared pulse encoder."""
 
     def __init__(self, config, hidden=HIDDEN_UNITS, seed=0):
+        self._init_layout(config, hidden, seed)
+        self.weights = self._initial_weights(seed)
+
+    # -- construction -----------------------------------------------------
+
+    def _init_layout(self, config, hidden, seed):
+        """Everything but the weights; `load` reads those from the file."""
         if hidden < 1:
             raise InvalidConfigError(f"hidden width {hidden}: needs >= 1")
         self.config = config
@@ -176,10 +192,7 @@ class GrayboxModel:
         self.in_width = 2 * (self.d - 1)
         self.dataset_hash = ""
         self._init_shift_table()
-        self._init_weights(seed)
         self._kets = dynamics.initial_states(self.basis)  # (S, d)
-
-    # -- construction -----------------------------------------------------
 
     def _init_shift_table(self):
         self.shifts = [noiseop.shift_observable(A, style="interior")
@@ -188,22 +201,30 @@ class GrayboxModel:
         self.obs_inv = np.stack([np.linalg.inv(s.shifted) for s in self.shifts])
         self.obs_b = np.array([s.b for s in self.shifts])
 
-    def _init_weights(self, seed):
-        rng = streams.generator(seed, streams.WEIGHT_INIT)
-        def uni(*shape):
-            return rng.uniform(-0.08, 0.08, size=shape)
+    def _weight_shapes(self):
+        """Name -> shape of every weight block, in the order in which the
+        initial weights are drawn."""
         H, O = self.hidden, self.n_obs
-        w = {}
+        shapes = {}
         for gate in _GATES:
-            w[f"enc.W{gate}"] = uni(H, self.in_width)
-            w[f"enc.U{gate}"] = uni(H, H)
-            w[f"enc.b{gate}"] = uni(H)
+            shapes[f"enc.W{gate}"] = (H, self.in_width)
+            shapes[f"enc.U{gate}"] = (H, H)
+            shapes[f"enc.b{gate}"] = (H,)
         for gate in ("z", "h"):
-            w[f"obs.W{gate}"] = uni(O, H, H)
-            w[f"obs.b{gate}"] = uni(O, H)
-        w["head.W"] = uni(O, self.head_width, H)
-        w["head.b"] = np.stack([self._identity_bias(o) for o in range(O)])
-        self.weights = w
+            shapes[f"obs.W{gate}"] = (O, H, H)
+            shapes[f"obs.b{gate}"] = (O, H)
+        shapes["head.W"] = (O, self.head_width, H)
+        shapes["head.b"] = (O, self.head_width)
+        return shapes
+
+    def _initial_weights(self, seed):
+        rng = streams.generator(seed, streams.WEIGHT_INIT)
+        w = {name: rng.uniform(-0.08, 0.08, size=shape)
+             for name, shape in self._weight_shapes().items()
+             if name != "head.b"}
+        w["head.b"] = np.stack([self._identity_bias(o)
+                                for o in range(self.n_obs)])
+        return w
 
     def _identity_bias(self, o):
         """Head biases placing the initial output at V_O = I (W = O~): the
@@ -534,6 +555,9 @@ class GrayboxModel:
         return _states(self._kets, u0s)[1]
 
     def train(self, examples, manifest, hyper=None, log_every=None):
+        """Adam on random batches of the training split. The test-set loss
+        is evaluated every _EVAL_EVERY iterations, at the last one and at
+        every log_every-th, which is also printed."""
         hyper = hyper or TrainingHyper()
         n_train = int(manifest["n_train"])
         n_test = int(manifest["n_test"])
@@ -599,12 +623,17 @@ class GrayboxModel:
                 np.sqrt(b, out=b)
                 b += _ADAM_EPS
                 self.weights[name] -= np.divide(a, b, out=a)
+            record.train_mse.append(loss)
+            logged = bool(log_every) and it % log_every == 0
+            if not (logged or it % _EVAL_EVERY == 0 or
+                    it == hyper.iterations):
+                continue
             test_loss = (float(self.loss(thetas[te], targets[te],
                                          sigmas[te]))
                          if n_test > 0 else float("nan"))
-            record.train_mse.append(loss)
             record.test_mse.append(test_loss)
-            if log_every and it % log_every == 0:
+            record.eval_iterations.append(it)
+            if logged:
                 print(f"iter {it:5d}  train {loss:.3e}  test {test_loss:.3e}")
         record.wall_time = time.perf_counter() - start
         return record
@@ -658,14 +687,16 @@ class GrayboxModel:
                     f"format {header['format']!r} version "
                     f"{header['version']!r}; only qugray-model version "
                     f"{_MODEL_VERSION} loads")
-            model = cls(dynamics.SystemConfig.from_dict(header["config"]),
-                        hidden=int(header["hidden"]), seed=header["seed"])
+            model = cls.__new__(cls)
+            model._init_layout(
+                dynamics.SystemConfig.from_dict(header["config"]),
+                hidden=int(header["hidden"]), seed=header["seed"])
             specs = [(str(b["name"]), tuple(b["shape"]))
                      for b in header["blocks"]]
         except (struct.error, KeyError, TypeError, ValueError,
                 QugrayError) as exc:
             raise DatasetIOError(f"{path}: bad model header: {exc}") from exc
-        layout = {name: w.shape for name, w in model.weights.items()}
+        layout = model._weight_shapes()
         if len(specs) != len(layout) or dict(specs) != layout:
             raise DatasetIOError(f"{path}: weight blocks do not fit a "
                                  f"d={model.d}, hidden={model.hidden} model")

@@ -103,6 +103,28 @@ class TestTrain:
         # curve CSVs differ only in the embedded filename-free content
         assert blobs[0][1] == blobs[1][1]
 
+    def test_curves_hold_the_evaluated_iterations(self, tmp_path,
+                                                  tiny_dataset):
+        # 25 iterations evaluate the test loss at 10, 20 and 25; --log-every
+        # 1 evaluates at all of them, with the same model bytes and rows
+        outs = {}
+        for run, extra in (("cadenced", []), ("every", ["--log-every", "1"])):
+            out = tmp_path / f"{run}.qgm"
+            rc = cli.main(["train", "--dataset", tiny_dataset, "--out",
+                           str(out), "--iters", "25", "--seed", "9",
+                           "--batch", "4"] + extra)
+            assert rc == 0
+            lines = (tmp_path / f"{run}.qgm.curves.csv").read_text() \
+                .splitlines()
+            assert lines[0] == "iteration,train_mse,test_mse"
+            outs[run] = out.read_bytes(), lines[1:]
+        assert outs["cadenced"][0] == outs["every"][0]
+        rows, all_rows = outs["cadenced"][1], outs["every"][1]
+        assert [row.split(",")[0] for row in rows] == ["10", "20", "25"]
+        assert [row.split(",")[0] for row in all_rows] == \
+            [str(i) for i in range(1, 26)]
+        assert rows == [all_rows[i - 1] for i in (10, 20, 25)]
+
     def test_missing_dataset_exits_3(self, tmp_path):
         rc = cli.main(["train", "--dataset", str(tmp_path / "nope.jsonl"),
                        "--out", str(tmp_path / "m.qgm"), "--iters", "1"])
@@ -116,7 +138,8 @@ class TestTrain:
                                              ("--step", "0"),
                                              ("--step", "-1"),
                                              ("--hidden", "0"),
-                                             ("--hidden", "-1")])
+                                             ("--hidden", "-1"),
+                                             ("--log-every", "-3")])
     def test_count_below_one_exits_2_before_writing(self, tmp_path,
                                                     tiny_dataset, flag,
                                                     value):

@@ -337,6 +337,16 @@ class TestDataset:
             np.testing.assert_array_equal(a.theta, b.theta)
             np.testing.assert_array_equal(a.expectations, b.expectations)
 
+    def test_saved_lines_are_json_of_python_floats(self, tmp_path):
+        cfg = make_config(d=2, steps=96, realizations=4)
+        examples, manifest = dynamics.generate_dataset(cfg, 4, seed=9)
+        path = tmp_path / "data.jsonl"
+        dynamics.save_dataset(path, examples, manifest)
+        assert path.read_text().splitlines() == [json.dumps({
+            "theta": [float(v) for v in ex.theta],
+            "expectations": [float(v) for v in ex.expectations]})
+            for ex in examples]
+
     def test_failed_save_keeps_previous_file(self, tmp_path):
         cfg = make_config(d=2, steps=96, realizations=4)
         examples, manifest = dynamics.generate_dataset(cfg, 4, seed=9)

@@ -392,7 +392,32 @@ class TestTraining:
         assert record.train_mse[-1] < record.train_mse[0]
         assert record.train_mse[-1] < 1e-2
         assert record.iterations == 60
-        assert len(record.test_mse) == 60
+        assert record.eval_iterations == [10, 20, 30, 40, 50, 60]
+        assert len(record.test_mse) == 6
+        assert record.test_mse[-1] < record.test_mse[0]
+
+    def test_evaluation_cadence_leaves_trajectory_alone(self, small_cfg,
+                                                         capsys):
+        # the test loss is read at every 10th, every logged and the final
+        # iteration; evaluating it more often changes no step
+        examples, manifest = self.make_dataset(small_cfg)
+        hyper = graybox.TrainingHyper(iterations=25, batch_size=8, seed=2)
+        models, records = [], []
+        for log_every in (None, 1):
+            m = graybox.GrayboxModel(small_cfg, seed=1)
+            records.append(m.train(examples, manifest, hyper,
+                                   log_every=log_every))
+            models.append(m)
+        cadenced, every = records
+        assert cadenced.eval_iterations == [10, 20, 25]
+        assert every.eval_iterations == list(range(1, 26))
+        assert len(capsys.readouterr().out.splitlines()) == 25
+        assert cadenced.train_mse == every.train_mse
+        assert cadenced.test_mse == [every.test_mse[i - 1]
+                                     for i in cadenced.eval_iterations]
+        for name in models[0].weights:
+            np.testing.assert_array_equal(models[0].weights[name],
+                                          models[1].weights[name])
 
     def test_divergence_aborts(self, small_cfg, monkeypatch):
         # the bounded heads keep the loss finite, so exercise the abort
@@ -490,6 +515,16 @@ class TestCheckpoint:
         write_model_file(path, header, bytes(payload))
         with pytest.raises(DatasetIOError, match="head.b"):
             graybox.GrayboxModel.load(path)
+
+    def test_load_draws_no_initial_weights(self, model, tmp_path,
+                                           monkeypatch):
+        path = tmp_path / "model.qgm"
+        model.save(path)
+        monkeypatch.setattr(graybox.GrayboxModel, "_initial_weights",
+                            lambda *_: pytest.fail("load drew weights"))
+        back = graybox.GrayboxModel.load(path)
+        for name, value in model.weights.items():
+            assert np.array_equal(back.weights[name], value)
 
     def test_saved_model_predicts_the_same_bits(self, small_cfg, batch,
                                                 tmp_path):

@@ -109,8 +109,9 @@ def _validate_eval_k(eval_k):
 
 
 def _with_eval_k(cfg, eval_k):
-    """cfg with eval_k noise realizations (None keeps its own); streams are
-    keyed per realization, so the first eval_k are the same bits."""
+    """cfg with eval_k noise realizations (None keeps its own); each
+    realization draws its own counter block, so the first eval_k are the
+    same bits."""
     return cfg if eval_k is None else dataclasses.replace(
         cfg, noise=dataclasses.replace(cfg.noise, realizations=eval_k))
 

@@ -25,7 +25,7 @@ from .algebra import gell_mann_basis
 from .errors import ContractViolationError, DatasetIOError, \
     InvalidConfigError, InvertibilityError, QugrayError
 
-DATASET_ORDERING_VERSION = 3
+DATASET_ORDERING_VERSION = 4
 # split ratio: 8192 train / 1840 test at the full 10032-example scale
 TEST_FRACTION = 1840.0 / 10032.0
 

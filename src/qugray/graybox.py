@@ -152,8 +152,7 @@ class TrainingHyper:
 @dataclass
 class TrainingRecord:
     """train_mse holds every iteration's batch loss; test_mse[j] is the
-    test-set loss after iteration eval_iterations[j] (1-based), NaN for a
-    dataset without a test split."""
+    test-set loss after iteration eval_iterations[j] (1-based)."""
 
     train_mse: list = field(default_factory=list)
     test_mse: list = field(default_factory=list)
@@ -563,6 +562,10 @@ class GrayboxModel:
         n_test = int(manifest["n_test"])
         if n_train + n_test > len(examples):
             raise InvalidConfigError("manifest split exceeds dataset size")
+        if n_test == 0:
+            raise InvalidConfigError(
+                f"dataset of {len(examples)} examples has no test split; "
+                "training needs at least one test example")
         thetas = np.stack([ex.theta for ex in examples])
         targets = np.stack([ex.expectations for ex in examples])
         sigmas = self.precompute_states(thetas)
@@ -628,9 +631,7 @@ class GrayboxModel:
             if not (logged or it % _EVAL_EVERY == 0 or
                     it == hyper.iterations):
                 continue
-            test_loss = (float(self.loss(thetas[te], targets[te],
-                                         sigmas[te]))
-                         if n_test > 0 else float("nan"))
+            test_loss = float(self.loss(thetas[te], targets[te], sigmas[te]))
             record.test_mse.append(test_loss)
             record.eval_iterations.append(it)
             if logged:

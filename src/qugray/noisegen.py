@@ -8,12 +8,13 @@ exactly per bin and parallelizes trivially across realizations.
 The 1/f divergence is regularized by clamping the PSD below f_min (default
 1/T): a finite-duration run cannot resolve slower fluctuations anyway.
 
-Streams are counter-based (Philox) keyed by (seed, channel, realization), so
-generation order and worker count never change the samples, and any range of
-realizations can be synthesized alone: `empirical_psd` walks the ensemble in
-chunks and never holds all of it. Within a range, `synthesize` works on
-blocks of realizations of a bounded size: one vectorized key pass, one
-generator re-keyed per row, one spectrum and one batched inverse FFT.
+Streams are counter-based (Philox): each channel has its own key, and each
+realization its own counter block under it (`streams`), so generation order
+and worker count never change the samples, and any range of realizations can
+be synthesized alone: `empirical_psd` walks the ensemble in chunks and never
+holds all of it. Within a range, `synthesize` works on blocks of
+realizations of a bounded size: one generator whose counter is set per row,
+one spectrum and one batched inverse FFT.
 """
 
 import math
@@ -112,10 +113,11 @@ def synthesize(spec, seed, start=0, stop=None):
     them) as a NoiseRealizationSet, deterministic per seed. Each realization
     is the same bits whatever range it is drawn in.
 
-    Realization r of channel ch draws its M - 1 normals from the Philox
-    stream keyed (seed, ch, r). A block of realizations is built at a time:
-    one key pass, one generator re-keyed per row, one spectrum and one
-    inverse FFT written straight into the samples."""
+    Realization r of channel ch draws its M - 1 normals from
+    Philox(SeedSequence(entropy=seed, spawn_key=(ch,))).jumped(r): the
+    channel's key with counter word 2 set to r. A block of realizations is
+    built at a time: one generator whose counter is set per row, one
+    spectrum and one inverse FFT written straight into the samples."""
     stop = spec.realizations if stop is None else stop
     if not 0 <= start <= stop <= spec.realizations:
         raise ValueError(f"realization range [{start}, {stop}) outside "
@@ -134,18 +136,20 @@ def synthesize(spec, seed, start=0, stop=None):
         return NoiseRealizationSet(samples=samples, total_time=spec.total_time)
     bitgen = np.random.Philox()
     rng = np.random.Generator(bitgen)
-    # a new Philox's state has its counter at zero and its buffer empty, so
-    # setting it with a row's key restarts the stream that key seeds
+    # a new Philox's state has its buffer empty, so setting it with a
+    # channel's key and a row's counter starts that realization's block
     state = bitgen.state
+    counter = state["state"]["counter"]
     rows = min(_block_rows(M), max(1, stop - start))
     z = np.empty((rows, M - 1))
     spectrum = np.zeros((rows, half + 1), dtype=complex)
     for ch in range(spec.channels):
+        state["state"]["key"] = streams.noise_key(seed, ch)
         for lo in range(start, stop, rows):
             hi = min(lo + rows, stop)
             n = hi - lo
-            for i, key in enumerate(streams.noise_keys(seed, ch, lo, hi)):
-                state["state"]["key"] = key
+            for i in range(n):
+                counter[2] = lo + i
                 bitgen.state = state
                 rng.standard_normal(out=z[i])
             # real and imaginary parts of bins 1 .. M/2 - 1, then the real

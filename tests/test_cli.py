@@ -125,6 +125,20 @@ class TestTrain:
             [str(i) for i in range(1, 26)]
         assert rows == [all_rows[i - 1] for i in (10, 20, 25)]
 
+    def test_dataset_without_test_split_exits_2_before_writing(
+            self, tmp_path, tiny_config, capsys):
+        # 2 examples split 2/0: there is no test loss to record
+        dataset = tmp_path / "two.jsonl"
+        assert cli.main(["gen-dataset", "--config", tiny_config, "--out",
+                         str(dataset), "--examples", "2"]) == 0
+        out = tmp_path / "out"
+        out.mkdir()
+        rc = cli.main(["train", "--dataset", str(dataset), "--out",
+                       str(out / "m.qgm"), "--iters", "12"])
+        assert rc == 2
+        assert "no test split" in capsys.readouterr().err
+        assert os.listdir(out) == []
+
     def test_missing_dataset_exits_3(self, tmp_path):
         rc = cli.main(["train", "--dataset", str(tmp_path / "nope.jsonl"),
                        "--out", str(tmp_path / "m.qgm"), "--iters", "1"])

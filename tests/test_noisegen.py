@@ -184,9 +184,10 @@ class TestChunks:
 
 
 def per_row_oracle(spec, seed, start, stop):
-    """Realizations [start, stop) built one at a time, each from its own
-    SeedSequence -> Philox -> Generator: the reference block synthesis must
-    match bit for bit."""
+    """Realizations [start, stop) built one at a time, realization r of
+    channel ch from Generator(Philox(SeedSequence(entropy=seed,
+    spawn_key=(ch,))).jumped(r)): the reference block synthesis must match
+    bit for bit."""
     M = spec.steps
     half = M // 2
     target = spec.psd(spec.grid_frequencies())
@@ -197,8 +198,8 @@ def per_row_oracle(spec, seed, start, stop):
     samples = np.zeros((spec.channels, stop - start, M))
     for ch in range(spec.channels):
         for r in range(start, stop):
-            ss = np.random.SeedSequence(entropy=seed, spawn_key=(ch, r))
-            rng = np.random.Generator(np.random.Philox(ss))
+            ss = np.random.SeedSequence(entropy=seed, spawn_key=(ch,))
+            rng = np.random.Generator(np.random.Philox(ss).jumped(r))
             z = rng.standard_normal(2 * half - 1)
             spectrum = np.zeros(half + 1, dtype=complex)
             spectrum[1:half] = amp[:-1] * (z[0:half - 1]
@@ -229,6 +230,16 @@ class TestBlocks:
         assert noisegen._block_rows(4096) < 40
         out = noisegen.synthesize(spec, 17, 3, 40).samples
         assert np.array_equal(out, per_row_oracle(spec, 17, 3, 40))
+
+    def test_realizations_past_one_word_equal_oracle(self):
+        # realization indices need not fit in one uint32 word: they only
+        # set a counter word, and no sample array spans the skipped rows
+        spec = make_spec(channels=2, K=2 ** 32 + 2, M=64)
+        lo, hi = 2 ** 32, 2 ** 32 + 2
+        for seed in (0, 2 ** 40 + 3):
+            out = noisegen.synthesize(spec, seed, lo, hi).samples
+            assert out.shape == (2, 2, 64)
+            assert np.array_equal(out, per_row_oracle(spec, seed, lo, hi))
 
     def test_scratch_is_one_block_whatever_the_range(self):
         spec = make_spec(channels=2, K=1200, M=1024)

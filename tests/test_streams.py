@@ -1,34 +1,33 @@
 """Random streams never replay one another: dataset pulses and optimizer
-restarts draw from keys that no noise realization uses, for any d. Noise
-keys computed a block at a time equal SeedSequence's."""
+restarts draw from keys that no noise realization uses, for any d. A noise
+channel's key is SeedSequence's, and realization r is the channel's stream
+jumped r times: the key with counter word 2 set to r."""
 
 import numpy as np
 import pytest
 
 from conftest import make_config
-from qugray import control, dynamics, graybox, streams
+from qugray import control, dynamics, graybox, noisegen, streams
 
 
 def noise_stream(seed, channel, realization):
-    """The noise realization's stream, keyed as noise ensembles always were."""
-    ss = np.random.SeedSequence(entropy=seed, spawn_key=(channel,
-                                                         realization))
-    return np.random.Generator(np.random.Philox(ss))
+    """The noise realization's stream, built with numpy's documented API."""
+    ss = np.random.SeedSequence(entropy=seed, spawn_key=(channel,))
+    return np.random.Generator(np.random.Philox(ss).jumped(realization))
 
 
-def seed_sequence_keys(seed, channel, start, stop):
-    """Philox keys of realizations [start, stop), one SeedSequence each."""
-    return np.array([np.random.SeedSequence(
-        entropy=seed, spawn_key=(channel, r)).generate_state(2, np.uint64)
-        for r in range(start, stop)], dtype=np.uint64).reshape(-1, 2)
+def realization_stream(key, realization):
+    """A Philox under `key` with counter word 2 at `realization`."""
+    return np.random.Generator(np.random.Philox(
+        key=key, counter=[0, 0, realization, 0]))
 
 
 def test_noise_keys_unchanged():
-    # a Philox keyed by noise_keys replays the realization's stream
+    # the channel's key, at the realization's counter, replays the stream
     for channel, realization in ((0, 0), (1, 5), (3, 2)):
-        key = streams.noise_keys(7, channel, realization, realization + 1)[0]
+        key = streams.noise_key(7, channel)
         np.testing.assert_array_equal(
-            np.random.Generator(np.random.Philox(key=key)).random(8),
+            realization_stream(key, realization).random(8),
             noise_stream(7, channel, realization).random(8))
 
 
@@ -41,24 +40,39 @@ SEEDS = [0, 1, 2 ** 32 - 1, 2 ** 32, 2 ** 64 + 7, 2 ** 70 + 3, 2 ** 96 - 1,
 @pytest.mark.parametrize("seed", SEEDS)
 def test_noise_keys_equal_seed_sequence(seed):
     for channel in (0, 1, 2, 2 ** 32 - 1):
-        for start, stop in ((0, 6), (37, 41), (2 ** 32 - 3, 2 ** 32)):
-            keys = streams.noise_keys(seed, channel, start, stop)
-            assert keys.dtype == np.uint64
-            np.testing.assert_array_equal(
-                keys, seed_sequence_keys(seed, channel, start, stop))
+        key = streams.noise_key(seed, channel)
+        assert key.dtype == np.uint64 and key.shape == (2,)
+        ss = np.random.SeedSequence(entropy=seed, spawn_key=(channel,))
+        np.testing.assert_array_equal(key, ss.generate_state(2, np.uint64))
+        # realizations past one uint32 word are counter blocks too
+        for start, stop in ((0, 6), (37, 41), (2 ** 32 - 3, 2 ** 32 + 2)):
+            for r in range(start, stop):
+                np.testing.assert_array_equal(
+                    realization_stream(key, r).random(4),
+                    noise_stream(seed, channel, r).random(4))
+
+
+def small_spec(channels=2, realizations=6):
+    return noisegen.NoiseSpec(alpha1=1.0, alpha2=0.0, channels=channels,
+                              realizations=realizations, steps=16,
+                              total_time=1.0)
 
 
 def test_noise_keys_accept_numpy_integers_and_empty_ranges():
+    np.testing.assert_array_equal(streams.noise_key(np.int64(9),
+                                                    np.int64(2)),
+                                  streams.noise_key(9, 2))
+    spec = small_spec()
     np.testing.assert_array_equal(
-        streams.noise_keys(np.int64(9), np.int64(2), 3, 5),
-        seed_sequence_keys(9, 2, 3, 5))
-    assert streams.noise_keys(9, 2, 4, 4).shape == (0, 2)
+        noisegen.synthesize(spec, np.int64(9), 3, 5).samples,
+        noisegen.synthesize(spec, 9, 3, 5).samples)
+    assert noisegen.synthesize(spec, 9, 4, 4).samples.shape == (2, 0, 16)
 
 
+# each case puts one index outside its range: the seed or the channel of
+# the channel's key, or the realization range drawn under it
 @pytest.mark.parametrize("seed, channel, start, stop", [
     (0, 2 ** 32, 0, 1),          # channel would span two words
-    (0, 0, 0, 2 ** 32 + 1),      # realization 2**32 would too
-    (0, 0, 2 ** 32, 2 ** 32 + 1),
     (0, -1, 0, 1),
     (0, 0, -1, 1),
     (0, 0, 3, 2),
@@ -67,7 +81,8 @@ def test_noise_keys_accept_numpy_integers_and_empty_ranges():
 def test_noise_keys_reject_indices_outside_one_word(seed, channel, start,
                                                      stop):
     with pytest.raises(ValueError):
-        streams.noise_keys(seed, channel, start, stop)
+        streams.noise_key(seed, channel)
+        noisegen.synthesize(small_spec(channels=1), seed, start, stop)
 
 
 def test_example_pulses_do_not_replay_channel_1_noise():

@@ -188,6 +188,9 @@ def cmd_landscape(args):
     if args.fid_epsilon is not None and not math.isfinite(args.fid_epsilon):
         raise InvalidConfigError(f"--fid-epsilon {args.fid_epsilon}: needs a "
                                  "finite value")
+    if args.fid_epsilon is not None and args.no_fidelity:
+        raise InvalidConfigError("--fid-epsilon picks the row whose fidelity "
+                                 "is evaluated; --no-fidelity evaluates none")
     model = graybox.GrayboxModel.load(args.model)
     gate = control.parse_gate(args.gate, model.d)
     expected = 2 * (model.d - 1) * model.n_max

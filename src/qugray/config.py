@@ -12,8 +12,6 @@ omega_1 * T ~ 7e2 with >= 8 samples per carrier period at M = 1000, noise
 couplings rescaled to preserve the strong-noise operator deviations).
 """
 
-import importlib.resources
-
 import numpy as np
 
 from .dynamics import SystemConfig
@@ -130,6 +128,7 @@ def build_system_config(parsed, source="<config>"):
 
 
 def list_presets():
+    import importlib.resources  # only preset-name lookups need it
     root = importlib.resources.files("qugray") / "presets"
     return sorted(p.name[:-4] for p in root.iterdir() if p.name.endswith(".cfg"))
 
@@ -142,6 +141,7 @@ def load_config(path_or_preset):
             text = fh.read()
         source = path_or_preset
     else:
+        import importlib.resources
         resource = importlib.resources.files("qugray") / "presets" / \
             f"{path_or_preset}.cfg"
         if not resource.is_file():

@@ -15,7 +15,6 @@ do not depend on how many workers run them.
 """
 
 import json
-import multiprocessing
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -157,6 +156,7 @@ def optimize_gate(model, gate, restarts=5, seed=0, max_iters=200, workers=1):
     if workers <= 1:
         outcomes = [_restart_job(j) for j in jobs]
     else:
+        import multiprocessing  # only a pool needs it
         with multiprocessing.Pool(workers) as pool:
             outcomes = list(pool.imap(_restart_job, jobs))
     outcomes.sort(key=lambda t: (t[1], t[0]))

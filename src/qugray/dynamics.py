@@ -13,7 +13,6 @@ eigenvectors, each measured element A_i, giving d(d^2-1)^2 entries.
 
 import hashlib
 import json
-import multiprocessing
 from dataclasses import dataclass
 
 import numpy as np
@@ -366,6 +365,7 @@ def generate_dataset(config, n_examples, seed=None, workers=1):
         finally:
             _WORKER_STATE.clear()
     else:
+        import multiprocessing  # only a pool needs it
         with multiprocessing.Pool(workers, initializer=_init_worker,
                                   initargs=(cfg_dict,)) as pool:
             results = list(pool.imap(_make_examples, blocks))

@@ -10,7 +10,8 @@ error on the grid.
 
 The cost J(eps) adds the closed-system gate infidelity at eps * theta to the
 noise-sensitivity term N(eps) = sum_k ||V_k(eps) - I||_F, so J >= N >= 0 and
-J = 0 exactly when noise is cancelled and the target is met.
+J = 0 exactly when noise is cancelled and the target is met. `cost_grid` is
+the one place that computes it, on a whole pulse x eps grid at once.
 """
 
 from dataclasses import dataclass
@@ -50,19 +51,25 @@ class TaylorExpansion:
         }
 
 
+def _scaled_pulses(config, thetas, grid):
+    """The (P * G, L) stack of eps * theta, pulse-major. Each pulse's scaled
+    amplitudes must stay inside the dataset sampling bound a_max (the model
+    was trained there); DomainError otherwise."""
+    a_max = config.a_max()
+    for peak in np.abs(thetas).max(axis=1) * np.abs(grid).max():
+        if peak > a_max * (1.0 + 1e-9):
+            raise DomainError(
+                f"scaled amplitudes reach {peak:.3g} > bound {a_max:.3g}")
+    return (grid[None, :, None] * thetas[:, None, :]).reshape(
+        -1, thetas.shape[1])
+
+
 def scan_epsilon(model, theta, grid=None):
-    """Noise-operator samples V(eps) on the grid, shape (n_grid, n_obs, d, d).
-    The scaled pulses eps * theta must stay inside the dataset sampling
-    bound a_max (the model was trained there); DomainError otherwise."""
+    """Noise-operator samples V(eps) of one pulse on the grid, shape
+    (n_grid, n_obs, d, d); the amplitude bound as in _scaled_pulses."""
     grid = DEFAULT_GRID if grid is None else np.asarray(grid, dtype=float)
-    theta = np.asarray(theta, dtype=float)
-    a_max = model.config.a_max()
-    peak = np.abs(theta).max() * np.abs(grid).max()
-    if peak > a_max * (1.0 + 1e-9):
-        raise DomainError(
-            f"scaled amplitudes reach {peak:.3g} > bound {a_max:.3g}")
-    thetas = grid[:, None] * theta[None, :]
-    return model.noise_operators(thetas)
+    thetas = np.asarray(theta, dtype=float)[None]
+    return model.noise_operators(_scaled_pulses(model.config, thetas, grid))
 
 
 def fit_taylor(samples, grid, order=2):
@@ -97,52 +104,39 @@ def fit_taylor(samples, grid, order=2):
     return expansions
 
 
-def _sensitivity(vs):
-    d = vs.shape[-1]
-    eye = np.eye(d)
-    return float(sum(np.linalg.norm(v - eye) for v in vs))
-
-
-def gate_overlap_infidelity(config, theta, eps, gate_unitary):
-    """1 - |tr(U^H G)|^2 / d^2 at the scaled pulse eps * theta, closed
-    whitebox U. eps may be a 1-D array: the scaled pulses then propagate as
-    one batch and the result is an array; each entry equals the scalar-eps
-    value bit for bit."""
-    eps_arr = np.asarray(eps, dtype=float)
-    thetas = np.atleast_1d(eps_arr)[:, None] * np.asarray(theta, dtype=float)
-    u = dynamics.propagate_closed_batch(config, thetas)
+def gate_overlap_infidelity(config, scaled, gate_unitary):
+    """1 - |tr(U^H G)|^2 / d^2 of the closed whitebox U for each row of a
+    (B, L) stack of pulses, as one propagate_closed_batch call. A row's
+    value is the same bits whatever else is in the stack."""
+    u = dynamics.propagate_closed_batch(config, scaled)
     overlaps = np.einsum("kab,ab->k", u.conj(), gate_unitary)
-    infid = 1.0 - np.abs(overlaps) ** 2 / config.dim ** 2
-    return infid if eps_arr.ndim else float(infid[0])
+    return 1.0 - np.abs(overlaps) ** 2 / config.dim ** 2
 
 
-def noise_sensitivity_N(model_or_expansions, eps, theta=None):
-    """sum_k ||V_k(eps) - I||_F from the model or fitted expansions."""
-    if isinstance(model_or_expansions, list):
-        vs = np.stack([e.evaluate(eps) for e in model_or_expansions])
-    else:
-        if theta is None:
-            raise InvalidConfigError("theta required when sampling the model")
-        vs = scan_epsilon(model_or_expansions, theta,
-                          grid=np.array([eps]))[0]
-    return _sensitivity(vs)
+# Rows of one cost_grid block, rounded down to whole pulses (at least one):
+# bounds the encoder's working set whatever the pulse count
+_ROWS_PER_BLOCK = 256
 
 
-def control_cost_J(model_or_expansions, eps, theta, gate_unitary, config=None):
-    """J(eps) = N(eps) + closed-gate infidelity term; mode records whether V
-    came from raw model samples or fitted expansions."""
-    if isinstance(model_or_expansions, list):
-        n_term = noise_sensitivity_N(model_or_expansions, eps)
-        mode = "expansion"
-        if config is None:
-            raise InvalidConfigError("config required with expansions")
-    else:
-        n_term = noise_sensitivity_N(model_or_expansions, eps, theta)
-        mode = "model"
-        config = model_or_expansions.config
-    infid = gate_overlap_infidelity(config, theta, eps, gate_unitary)
-    return {"J": n_term + infid, "N": n_term, "infidelity": infid,
-            "mode": mode}
+def cost_grid(model, thetas, grid, gate_unitary):
+    """J = N + infidelity on the whole pulse x eps grid, with N(eps) =
+    sum_k ||V_k(eps) - I||_F from the model: dict of (P, G) arrays "J", "N"
+    and "infidelity" for a (P, L) pulse stack. Each block of the scaled stack
+    is one noise_operators and one gate_overlap_infidelity call."""
+    grid = np.asarray(grid, dtype=float)
+    thetas = np.asarray(thetas, dtype=float)
+    scaled = _scaled_pulses(model.config, thetas, grid)
+    rows = max(1, _ROWS_PER_BLOCK // grid.size) * grid.size
+    n_vals, infid = np.empty((2, len(scaled)))
+    eye = np.eye(model.d)
+    for start in range(0, len(scaled), rows):
+        block = scaled[start:start + rows]
+        n_vals[start:start + rows] = np.linalg.norm(
+            model.noise_operators(block) - eye, axis=(-2, -1)).sum(axis=-1)
+        infid[start:start + rows] = gate_overlap_infidelity(
+            model.config, block, gate_unitary)
+    n_vals, infid = n_vals.reshape(-1, grid.size), infid.reshape(-1, grid.size)
+    return {"J": n_vals + infid, "N": n_vals, "infidelity": infid}
 
 
 def landscape(model, thetas, gate, grid=None, pulse_ids=None,
@@ -161,22 +155,17 @@ def landscape(model, thetas, gate, grid=None, pulse_ids=None,
         gate = control.parse_gate(gate, model.d)
     thetas = np.asarray(thetas, dtype=float)
     pulse_ids = pulse_ids if pulse_ids is not None else list(range(len(thetas)))
-    rows = []
-    j_tables = []
-    for pid, theta in zip(pulse_ids, thetas):
-        vs = scan_epsilon(model, theta, grid=grid)
-        n_vals = np.array([_sensitivity(v) for v in vs])
-        j_vals = n_vals + gate_overlap_infidelity(model.config, theta, grid,
-                                                  gate.unitary)
-        j_tables.append(j_vals)
-        for e, j, n in zip(grid, j_vals, n_vals):
-            rows.append({"pulse_id": pid, "epsilon": float(e),
-                         "J": float(j), "N": float(n),
-                         "fidelity": float("nan")})
+    costs = cost_grid(model, thetas, grid, gate.unitary)
+    j_table = costs["J"]
+    rows = [{"pulse_id": pid, "epsilon": e, "J": j, "N": n,
+             "fidelity": float("nan")}
+            for pid, j_row, n_row in zip(pulse_ids, j_table.tolist(),
+                                         costs["N"].tolist())
+            for e, j, n in zip(grid.tolist(), j_row, n_row)]
     if eval_config is not None:
         if fid_epsilon is None:
-            flat_best = int(np.argmin([tab.min() for tab in j_tables]))
-            eps_idx = int(np.argmin(j_tables[flat_best]))
+            flat_best = int(np.argmin(j_table.min(axis=1)))
+            eps_idx = int(np.argmin(j_table[flat_best]))
         else:
             eps_idx = int(np.argmin(np.abs(grid - fid_epsilon)))
         fids = control.evaluate_fidelity(

@@ -353,14 +353,10 @@ def test_criterion_09_interpretability(closed_model, strong_model,
     # J, N structure and the argmin location for the optimized pulse
     res = optimized_gates["sigma_1_0"]
     gate = control.parse_gate("sigma_1_0", 3)
-    j_vals = []
-    n_vals = []
-    for eps in grid:
-        out = interpret.control_cost_J(model, eps, res.theta_star,
-                                       gate.unitary)
-        j_vals.append(out["J"])
-        n_vals.append(out["N"])
-        assert out["J"] >= out["N"] >= 0.0
+    costs = interpret.cost_grid(model, [res.theta_star], grid, gate.unitary)
+    j_vals, n_vals = costs["J"][0], costs["N"][0]
+    for j, n in zip(j_vals, n_vals):
+        assert j >= n >= 0.0
     argmin_eps = grid[int(np.argmin(j_vals))]
     step = grid[1] - grid[0]
     assert abs(argmin_eps - 1.0) <= step + 1e-12

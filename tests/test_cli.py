@@ -237,15 +237,29 @@ class TestLandscapeExpand:
     def test_eval_k_below_one_exits_2_before_the_sweep(
             self, tmp_path, tiny_model, tiny_dataset, monkeypatch, k):
         def must_not_run(*args, **kwargs):
-            raise AssertionError("scan_epsilon ran")
+            raise AssertionError("cost_grid ran")
 
-        monkeypatch.setattr(interpret, "scan_epsilon", must_not_run)
+        monkeypatch.setattr(interpret, "cost_grid", must_not_run)
         out = tmp_path / "land.csv"
         rc = cli.main(["landscape", "--model", tiny_model, "--pulses",
                        f"{tiny_dataset}:0", "--gate", "X", "--grid", "-1:1:3",
                        "--out", str(out), "--eval-k", k])
         assert rc == 2
         assert not out.exists()
+
+    def test_fid_epsilon_with_no_fidelity_exits_2_before_loading(
+            self, tmp_path, tiny_model, tiny_dataset, monkeypatch, capsys):
+        def must_not_run(*args, **kwargs):
+            raise AssertionError("the model was loaded")
+
+        monkeypatch.setattr(cli.graybox.GrayboxModel, "load", must_not_run)
+        rc = cli.main(["landscape", "--model", tiny_model, "--pulses",
+                       f"{tiny_dataset}:0", "--gate", "X", "--grid", "-1:1:3",
+                       "--out", str(tmp_path / "land.csv"), "--no-fidelity",
+                       "--fid-epsilon", "0.5"])
+        assert rc == 2
+        assert os.listdir(tmp_path) == []
+        assert "--no-fidelity" in capsys.readouterr().err
 
     @pytest.mark.parametrize("extra", [[], ["--no-fidelity"]],
                              ids=["fidelity", "no-fidelity"])

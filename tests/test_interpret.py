@@ -89,6 +89,13 @@ class TestFitTaylor:
                                  order=2)
 
 
+def expansion_n(expansions, eps):
+    """N(eps) = sum_k ||V_k(eps) - I||_F from fitted expansions."""
+    vs = np.stack([e.evaluate(eps) for e in expansions])
+    d = vs.shape[-1]
+    return float(sum(np.linalg.norm(v - np.eye(d)) for v in vs))
+
+
 class TestCostFunctions:
     def test_zero_at_perfect_control(self, cfg):
         # exact closed model: V = I everywhere; target = realized U0
@@ -98,18 +105,18 @@ class TestCostFunctions:
                                              3)
         theta = params.flatten()
         G = dynamics.propagate_closed(closed, params)
-        out = interpret.control_cost_J(exact, 1.0, theta, G)
-        assert out["J"] == pytest.approx(0.0, abs=1e-9)
-        assert out["N"] == 0.0
+        out = interpret.cost_grid(exact, [theta], [1.0], G)
+        assert out["J"][0, 0] == pytest.approx(0.0, abs=1e-9)
+        assert out["N"][0, 0] == 0.0
 
     def test_n_bounded_by_j(self, model, cfg):
         rng = np.random.default_rng(5)
         theta = rng.uniform(-cfg.a_max(), cfg.a_max(), size=40)
         G = control.parse_gate("sigma_1_0", 3).unitary
-        for eps in (-1.0, -0.3, 0.2, 0.9):
-            out = interpret.control_cost_J(model, eps, theta, G)
-            assert out["J"] >= out["N"] >= 0.0
-            assert 0.0 <= out["infidelity"] <= 1.0
+        out = interpret.cost_grid(model, [theta], [-1.0, -0.3, 0.2, 0.9], G)
+        assert out["J"].shape == (1, 4)
+        assert (out["J"] >= out["N"]).all() and (out["N"] >= 0.0).all()
+        assert ((0.0 <= out["infidelity"]) & (out["infidelity"] <= 1.0)).all()
 
     def test_expansion_mode_matches_model_mode(self, model, cfg):
         grid = np.linspace(-1, 1, 21)
@@ -117,14 +124,63 @@ class TestCostFunctions:
         samples = interpret.scan_epsilon(model, theta, grid=grid)
         exps = interpret.fit_taylor(samples, grid, order=4)
         G = control.parse_gate("X01", 3).unitary
-        eps = grid[7]
-        from_model = interpret.control_cost_J(model, eps, theta, G)
-        from_fit = interpret.control_cost_J(exps, eps, theta, G,
-                                            config=model.config)
-        assert from_fit["mode"] == "expansion"
-        assert from_model["mode"] == "model"
-        assert from_fit["N"] == pytest.approx(from_model["N"], abs=2e-2)
-        assert from_fit["infidelity"] == from_model["infidelity"]
+        from_model = interpret.cost_grid(model, [theta], grid, G)
+        assert expansion_n(exps, grid[7]) == pytest.approx(
+            from_model["N"][0, 7], abs=2e-2)
+        (single,) = interpret.gate_overlap_infidelity(model.config,
+                                                      [grid[7] * theta], G)
+        assert from_model["infidelity"][0, 7] == single
+
+    def test_pulse_rows_alone_equal_rows_in_a_stack(self, model, cfg,
+                                                    eval_cfg, monkeypatch):
+        rng = np.random.default_rng(6)
+        thetas = rng.uniform(-cfg.a_max(), cfg.a_max(), size=(5, 40))
+        grid = np.linspace(-1, 1, 21)
+        gate = control.parse_gate("X01", 3)
+        whole = interpret.cost_grid(model, thetas, grid, gate.unitary)
+        for p, theta in enumerate(thetas):
+            alone = interpret.cost_grid(model, [theta], grid, gate.unitary)
+            np.testing.assert_array_equal(alone["infidelity"][0],
+                                          whole["infidelity"][p])
+            for key in ("J", "N"):
+                np.testing.assert_allclose(alone[key][0], whole[key][p],
+                                           rtol=0, atol=1e-14)
+        rows = interpret.landscape(model, thetas, gate, grid=grid,
+                                   fid_epsilon=0.3, eval_config=eval_cfg)
+        for p, theta in enumerate(thetas):
+            alone = interpret.landscape(model, [theta], gate, grid=grid,
+                                        fid_epsilon=0.3, eval_config=eval_cfg)
+            for got, want in zip(rows[p * grid.size:(p + 1) * grid.size],
+                                 alone):
+                assert repr(got["fidelity"]) == repr(want["fidelity"])
+                assert got["epsilon"] == want["epsilon"]
+                assert abs(got["J"] - want["J"]) <= 1e-14
+                assert abs(got["N"] - want["N"]) <= 1e-14
+        # 2 pulses of 21 rows per block: 5 pulses run as 3 blocks
+        calls = []
+        noise_operators = graybox.GrayboxModel.noise_operators
+
+        def counting(self, scaled):
+            calls.append(len(scaled))
+            return noise_operators(self, scaled)
+
+        monkeypatch.setattr(interpret, "_ROWS_PER_BLOCK", 50)
+        monkeypatch.setattr(graybox.GrayboxModel, "noise_operators", counting)
+        blocked = interpret.cost_grid(model, thetas, grid, gate.unitary)
+        assert calls == [42, 42, 21]
+        np.testing.assert_array_equal(blocked["infidelity"],
+                                      whole["infidelity"])
+        for key in ("J", "N"):
+            np.testing.assert_allclose(blocked[key], whole[key], rtol=0,
+                                       atol=1e-14)
+
+    def test_bound_checked_for_every_pulse_before_any_work(self, model, cfg,
+                                                           monkeypatch):
+        thetas = np.stack([np.full(40, 0.5), np.full(40, 10 * cfg.a_max())])
+        monkeypatch.setattr(graybox.GrayboxModel, "noise_operators", None)
+        with pytest.raises(DomainError, match="bound"):
+            interpret.cost_grid(model, thetas, [0.5, 1.0],
+                                control.parse_gate("X01", 3).unitary)
 
 
 class TestLandscape:
@@ -149,10 +205,11 @@ class TestLandscape:
                                                  size=40)
         G = control.parse_gate("X01", 3).unitary
         grid = np.linspace(-1, 1, 11)
-        swept = interpret.gate_overlap_infidelity(cfg, theta, grid, G)
+        swept = interpret.gate_overlap_infidelity(cfg, grid[:, None] * theta,
+                                                  G)
         for e, value in zip(grid, swept):
-            assert value == interpret.gate_overlap_infidelity(cfg, theta, e,
-                                                              G)
+            assert value == interpret.gate_overlap_infidelity(
+                cfg, [e * theta], G)[0]
 
     def test_off_grid_fid_epsilon_lands_on_its_row(self, model, cfg,
                                                    eval_cfg):

@@ -1,4 +1,4 @@
-"""Operator algebra: Hermitian bases, matrix exponentials, Choi matrices.
+"""Operator algebra: Hermitian bases, matrix exponentials, trace overlaps.
 
 Operators are plain complex ndarrays of shape (d, d). Role checks
 (`check_hermitian`, `check_unitary`, ...) raise ContractViolationError so
@@ -181,38 +181,9 @@ def embed_two_level(gate2, p, q, d):
     return U
 
 
-def choi_of_unitary(U):
-    """Trace-1 Choi matrix (1/d) sum_ij U|i><j|U^H (x) |i><j| of a unitary
-    channel; equals the rank-1 projector onto vec(U)/sqrt(d)."""
-    U = check_unitary(U, name="U")
-    v = U.reshape(-1)
-    return np.outer(v, v.conj()) / U.shape[0]
-
-
-def _psd_sqrt(J, clip=-1e-10):
-    evals, evecs = np.linalg.eigh(J)
-    if evals.min() < clip:
-        raise ContractViolationError(
-            f"matrix has eigenvalue {evals.min():.3e} below PSD tolerance")
-    evals = np.clip(evals, 0.0, None)
-    return (evecs * np.sqrt(evals)) @ evecs.conj().T
-
-
-def process_fidelity(J_target, J_actual):
-    """tr sqrt( sqrt(J_t) J_a sqrt(J_t) ) for trace-1 Choi matrices.
-
-    No outer square; identical channels give exactly 1. Tiny negative
-    eigenvalues (>= -1e-10) are clamped to zero before the square roots.
-    """
-    J_target = np.asarray(J_target, dtype=complex)
-    J_actual = np.asarray(J_actual, dtype=complex)
-    if J_target.shape != J_actual.shape:
-        raise ContractViolationError("Choi matrices must share a dimension")
-    for name, J in (("J_target", J_target), ("J_actual", J_actual)):
-        if abs(np.trace(J) - 1.0) > 1e-6:
-            raise ContractViolationError(f"{name} trace deviates from 1 by > 1e-6")
-    # tr sqrt(sqrt(Jt) Ja sqrt(Jt)) equals the nuclear norm of
-    # sqrt(Jt) sqrt(Ja); the SVD form avoids sqrt-amplified rounding noise
-    # on rank-deficient inputs.
-    prod = _psd_sqrt(J_target) @ _psd_sqrt(J_actual)
-    return float(np.linalg.svd(prod, compute_uv=False).sum())
+def trace_overlaps(u_stack, G):
+    """tr(U^H G) for each U of a (..., d, d) stack, shape (...). An entry is
+    the same bits whatever else is in the stack."""
+    u_stack = np.asarray(u_stack)
+    flat = u_stack.reshape(-1, *u_stack.shape[-2:])
+    return np.einsum("kab,ab->k", flat.conj(), G).reshape(u_stack.shape[:-2])

@@ -20,8 +20,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import dynamics, fileio, streams
-from .algebra import choi_of_unitary, clock_shift_basis, embed_two_level, \
-    expm_skew, process_fidelity
+from .algebra import check_unitary, clock_shift_basis, embed_two_level, \
+    expm_skew, trace_overlaps
 from .errors import InvalidConfigError, OptimizationFailure
 
 _PAULI = {
@@ -172,14 +172,24 @@ def optimize_gate(model, gate, restarts=5, seed=0, max_iters=200, workers=1):
 
 
 def evaluate_fidelity(config, thetas, gate):
-    """Process fidelities (a list of B floats) against the target of the
-    channels of a (B, L) pulse stack: Choi matrices of the averages over
-    dynamics.channel_propagators."""
+    """Process fidelities (a list of B floats) against the unitary target G
+    of the channels of a (B, L) pulse stack, from the K propagators U_r of
+    each channel by dynamics.channel_propagators:
+
+        F = sqrt( sum_r |tr(G^H U_r)|^2 / (||G||_F^2 sum_r ||U_r||_F^2) ),
+
+    the fidelity of the trace-1 Choi states, with no outer square (Nielsen,
+    Phys. Lett. A 303, 249 (2002)). For exact unitaries the norms are d and
+    K d, and F = sqrt(mean_r |tr(G^H U_r)|^2) / d; taking them as computed
+    makes a realized target score 1 up to rounding. A row's F is the same
+    bits whatever else is in the stack."""
     if isinstance(gate, str):
         gate = parse_gate(gate, config.dim)
-    j_target = choi_of_unitary(gate.unitary)
-    return [process_fidelity(j_target, dynamics.choi_of_propagators(u_stack))
-            for u_stack in dynamics.channel_propagators(config, thetas)]
+    G = check_unitary(gate.unitary, name="target gate")
+    u = dynamics.channel_propagators(config, thetas)
+    overlap = (np.abs(trace_overlaps(u, G)) ** 2).sum(axis=1)
+    norms = (np.abs(u) ** 2).sum(axis=(1, 2, 3)) * (np.abs(G) ** 2).sum()
+    return np.clip(np.sqrt(overlap / norms), 0.0, 1.0).tolist()
 
 
 def save_result(result, path):

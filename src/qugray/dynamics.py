@@ -60,6 +60,8 @@ class SystemConfig:
         object.__setattr__(self, "g", tuple(float(x) for x in self.g))
         if self.dim < 2:
             raise InvalidConfigError("dim must be >= 2")
+        if self.n_max < 1:
+            raise InvalidConfigError(f"n_max must be >= 1, got {self.n_max}")
         if len(self.omega) != self.dim or len(self.g) != self.dim:
             raise InvalidConfigError("omega and g must have one entry per level")
         if not np.isfinite(self.omega + self.g).all():
@@ -258,13 +260,6 @@ def monte_carlo_expectations(config, params):
                                  f"config {config.dim - 1}")
     u_stack = channel_propagators(config, params.flatten()[None])[0]
     return expectations_from_propagators(u_stack, config.observable_basis())
-
-
-def choi_of_propagators(u_stack):
-    """Trace-1 Choi matrix of rho -> mean_r U_r rho U_r^H."""
-    d = u_stack.shape[-1]
-    vecs = u_stack.reshape(u_stack.shape[0], -1)
-    return np.einsum("ra,rb->ab", vecs, vecs.conj()) / (d * u_stack.shape[0])
 
 
 def oracle_noise_operator(config, params, O):

@@ -194,7 +194,7 @@ class GrayboxModel:
         self._kets = dynamics.initial_states(self.basis)  # (S, d)
 
     def _init_shift_table(self):
-        self.shifts = [noiseop.shift_observable(A, style="interior")
+        self.shifts = [noiseop.shift_observable(A)
                        for A in self.basis.elements]
         self.obs_shifted = np.stack([s.shifted for s in self.shifts])
         self.obs_inv = np.stack([np.linalg.inv(s.shifted) for s in self.shifts])

@@ -19,6 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import control, dynamics, fileio
+from .algebra import trace_overlaps
 from .errors import DomainError, InvalidConfigError
 
 DEFAULT_GRID = np.linspace(-1.0, 1.0, 41)
@@ -109,7 +110,7 @@ def gate_overlap_infidelity(config, scaled, gate_unitary):
     (B, L) stack of pulses, as one propagate_closed_batch call. A row's
     value is the same bits whatever else is in the stack."""
     u = dynamics.propagate_closed_batch(config, scaled)
-    overlaps = np.einsum("kab,ab->k", u.conj(), gate_unitary)
+    overlaps = trace_overlaps(u, gate_unitary)
     return 1.0 - np.abs(overlaps) ** 2 / config.dim ** 2
 
 

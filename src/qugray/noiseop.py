@@ -11,12 +11,10 @@ set of Hermitian W whose absolute eigenvalues sum to at most d. That is the
 domain `extract_params` accepts; it inverts the construction by Givens-style
 elimination in the same pair order.
 
-Non-invertible observables are handled by shifting: O -> a O + b I with the
-expectation mapped back as (e - b) / a. Two shift styles exist: "definite"
-(b = 2 ||O||, every eigenvalue pushed above ||O||, the numerically safest
-choice for standalone use) and "interior" (b = ||O||/2, kept inside the
-eigenvalue range so the shifted observable's exact noise operator stays
-representable by the bounded W above; the graybox uses this one).
+Non-invertible observables are handled by shifting: O -> O + b I with the
+expectation mapped back as e - b. The shift b = ||O||/2 is kept inside the
+eigenvalue range, so the shifted observable's exact noise operator
+V = (O + b I)^-1 W stays representable by the bounded W above.
 """
 
 from dataclasses import dataclass
@@ -24,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .algebra import check_hermitian, eigh_fixed
-from .errors import DomainError, InvalidConfigError, InvertibilityError
+from .errors import DomainError, InvalidConfigError
 
 _BOUND_SLACK = 1e-12
 
@@ -113,40 +111,20 @@ def build_W(params):
     return Q @ D @ Q.conj().T
 
 
-def build_V(O, W, shift=None):
-    """V = (a O + b I)^{-1} W; shift is a ShiftedObservable or None for an
-    already invertible O."""
-    O = np.asarray(O, dtype=complex)
-    if shift is not None:
-        O = shift.shifted
-    evals = np.linalg.eigvalsh(O)
-    if np.abs(evals).min() < 1e-6 * np.abs(evals).max():
-        raise InvertibilityError("observable singular and no shift supplied")
-    return np.linalg.solve(O, W)
-
-
 @dataclass(frozen=True)
 class ShiftedObservable:
-    """Invertible affine image a O + b I of an observable."""
+    """Invertible image O + b I of an observable."""
 
-    original: np.ndarray
-    a: float
     b: float
     shifted: np.ndarray
 
-    @property
-    def is_noop(self):
-        return self.a == 1.0 and self.b == 0.0
 
+def shift_observable(O):
+    """Make an observable invertible via O -> O + b I.
 
-def shift_observable(O, style="definite"):
-    """Make an observable invertible via O -> a O + b I (a = 1).
-
-    "definite": b = 2 ||O||, all eigenvalues end up >= ||O||.
-    "interior": b = ||O|| / 2, stays within the original eigenvalue range
-    (nudged if it happens to hit an eigenvalue), keeping the exact shifted
-    noise operator inside the bounded-W image.
-    Invertible inputs are returned unshifted.
+    b = ||O|| / 2 stays within the original eigenvalue range (nudged if it
+    happens to hit an eigenvalue), keeping the exact shifted noise operator
+    inside the bounded-W image. Invertible inputs are returned unshifted.
     """
     O = check_hermitian(np.asarray(O, dtype=complex), name="observable")
     evals = np.linalg.eigvalsh(O)
@@ -154,25 +132,13 @@ def shift_observable(O, style="definite"):
     if norm == 0.0:
         raise DomainError("cannot shift the zero observable")
     if np.abs(evals).min() >= 1e-6 * norm:
-        return ShiftedObservable(original=O, a=1.0, b=0.0, shifted=O)
-    if style == "definite":
-        b = 2.0 * norm
-    elif style == "interior":
-        b = norm / 2.0
-        while np.abs(evals + b).min() < 1e-6 * norm:
-            b *= 1.125
-        if b > norm:
-            raise DomainError("no interior shift found inside the spectrum")
-    else:
-        raise InvalidConfigError(f"unknown shift style {style!r}")
-    d = O.shape[0]
-    return ShiftedObservable(original=O, a=1.0, b=float(b),
-                             shifted=O + b * np.eye(d))
-
-
-def recover_expectation(e_shifted, a, b):
-    """Undo the affine observable shift on an expectation value."""
-    return (e_shifted - b) / a
+        return ShiftedObservable(b=0.0, shifted=O)
+    b = norm / 2.0
+    while np.abs(evals + b).min() < 1e-6 * norm:
+        b *= 1.125
+    if b > norm:
+        raise DomainError("no interior shift found inside the spectrum")
+    return ShiftedObservable(b=float(b), shifted=O + b * np.eye(O.shape[0]))
 
 
 def extract_params(W, d=None):

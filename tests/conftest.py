@@ -7,7 +7,8 @@ everything here is deliberately smaller so module suites stay quick.
 import numpy as np
 import pytest
 
-from qugray import dynamics, noisegen, pulses, streams
+from qugray import algebra, dynamics, noisegen, pulses, streams
+from qugray.errors import ContractViolationError
 
 # anharmonic ladder levels and drives; d = 2, 3 take the leading entries
 LADDER_OMEGA = (0.0, 700.0, 1373.7, 2020.8)
@@ -98,3 +99,51 @@ def finite_difference_check(model, thetas, targets, sigmas, n_weights=20,
         denom = max(abs(fd), abs(an), 1e-10)
         worst = max(worst, abs(fd - an) / denom)
     return float(worst)
+
+
+# The Choi-matrix definition of the process fidelity: the oracle for
+# control.evaluate_fidelity, which uses its closed form for unitary targets.
+
+def choi_of_unitary(U):
+    """Trace-1 Choi matrix (1/d) sum_ij U|i><j|U^H (x) |i><j| of a unitary
+    channel; equals the rank-1 projector onto vec(U)/sqrt(d)."""
+    U = algebra.check_unitary(U, name="U")
+    v = U.reshape(-1)
+    return np.outer(v, v.conj()) / U.shape[0]
+
+
+def choi_of_propagators(u_stack):
+    """Trace-1 Choi matrix of rho -> mean_r U_r rho U_r^H."""
+    d = u_stack.shape[-1]
+    vecs = u_stack.reshape(u_stack.shape[0], -1)
+    return np.einsum("ra,rb->ab", vecs, vecs.conj()) / (d * u_stack.shape[0])
+
+
+def _psd_sqrt(J, clip=-1e-10):
+    evals, evecs = np.linalg.eigh(J)
+    if evals.min() < clip:
+        raise ContractViolationError(
+            f"matrix has eigenvalue {evals.min():.3e} below PSD tolerance")
+    evals = np.clip(evals, 0.0, None)
+    return (evecs * np.sqrt(evals)) @ evecs.conj().T
+
+
+def process_fidelity(J_target, J_actual):
+    """tr sqrt( sqrt(J_t) J_a sqrt(J_t) ) for trace-1 Choi matrices.
+
+    No outer square; identical channels give exactly 1. Tiny negative
+    eigenvalues (>= -1e-10) are clamped to zero before the square roots.
+    """
+    J_target = np.asarray(J_target, dtype=complex)
+    J_actual = np.asarray(J_actual, dtype=complex)
+    if J_target.shape != J_actual.shape:
+        raise ContractViolationError("Choi matrices must share a dimension")
+    for name, J in (("J_target", J_target), ("J_actual", J_actual)):
+        if abs(np.trace(J) - 1.0) > 1e-6:
+            raise ContractViolationError(
+                f"{name} trace deviates from 1 by > 1e-6")
+    # tr sqrt(sqrt(Jt) Ja sqrt(Jt)) equals the nuclear norm of
+    # sqrt(Jt) sqrt(Ja); the SVD form avoids sqrt-amplified rounding noise
+    # on rank-deficient inputs.
+    prod = _psd_sqrt(J_target) @ _psd_sqrt(J_actual)
+    return float(np.linalg.svd(prod, compute_uv=False).sum())

@@ -146,8 +146,7 @@ def test_criterion_03_noise_psd():
 def test_criterion_04_oracle_suite(desk_closed_cfg, desk_strong_cfg):
     start = time.perf_counter()
     basis = desk_closed_cfg.observable_basis()
-    shifts = [noiseop.shift_observable(A, style="interior")
-              for A in basis.elements]
+    shifts = [noiseop.shift_observable(A) for A in basis.elements]
     # closed system: V_O = I to 1e-10 for all 8 observables x 20 pulses
     worst_closed = 0.0
     for seed in range(20):

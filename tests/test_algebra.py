@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from conftest import choi_of_unitary, process_fidelity
 from qugray import algebra
 from qugray.errors import ContractViolationError, InvalidDimensionError
 
@@ -167,7 +168,7 @@ class TestEmbedTwoLevel:
 
 class TestChoiAndFidelity:
     def test_choi_identity_is_bell_projector(self):
-        J = algebra.choi_of_unitary(np.eye(2))
+        J = choi_of_unitary(np.eye(2))
         bell = np.zeros(4, dtype=complex)
         bell[0] = bell[3] = 1.0 / np.sqrt(2)
         np.testing.assert_allclose(J, np.outer(bell, bell.conj()), atol=1e-15)
@@ -177,26 +178,26 @@ class TestChoiAndFidelity:
         rng = np.random.default_rng(seed)
         H = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
         U = algebra.expm_skew(H + H.conj().T, 0.9)
-        J = algebra.choi_of_unitary(U)
+        J = choi_of_unitary(U)
         assert abs(np.trace(J) - 1.0) <= 1e-12
         evals = np.linalg.eigvalsh(J)
         assert (evals > 1e-10).sum() == 1  # rank one for a unitary channel
 
     def test_identical_channels(self):
-        J = algebra.choi_of_unitary(algebra.expm_skew(PAULI_Y, 0.4))
-        assert abs(algebra.process_fidelity(J, J) - 1.0) <= 1e-12
+        J = choi_of_unitary(algebra.expm_skew(PAULI_Y, 0.4))
+        assert abs(process_fidelity(J, J) - 1.0) <= 1e-12
 
     def test_orthogonal_channels(self):
-        JI = algebra.choi_of_unitary(np.eye(2))
-        JX = algebra.choi_of_unitary(PAULI_X)
-        assert algebra.process_fidelity(JI, JX) <= 1e-12
+        JI = choi_of_unitary(np.eye(2))
+        JX = choi_of_unitary(PAULI_X)
+        assert process_fidelity(JI, JX) <= 1e-12
 
     @pytest.mark.parametrize("theta", [0.3, 1.2, 2.5])
     def test_z_rotation_closed_form(self, theta):
         # rank-1 Choi overlap: F = |tr(Rz)| / d = |cos(theta/2)|
-        JI = algebra.choi_of_unitary(np.eye(2))
+        JI = choi_of_unitary(np.eye(2))
         Rz = np.diag([np.exp(-0.5j * theta), np.exp(0.5j * theta)])
-        F = algebra.process_fidelity(JI, algebra.choi_of_unitary(Rz))
+        F = process_fidelity(JI, choi_of_unitary(Rz))
         assert abs(F - abs(np.cos(theta / 2))) <= 1e-12
 
     def test_symmetry(self):
@@ -204,13 +205,13 @@ class TestChoiAndFidelity:
         mats = []
         for _ in range(2):
             H = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
-            mats.append(algebra.choi_of_unitary(
+            mats.append(choi_of_unitary(
                 algebra.expm_skew(H + H.conj().T, 0.6)))
-        a = algebra.process_fidelity(mats[0], mats[1])
-        b = algebra.process_fidelity(mats[1], mats[0])
+        a = process_fidelity(mats[0], mats[1])
+        b = process_fidelity(mats[1], mats[0])
         assert abs(a - b) <= 1e-10
 
     def test_bad_trace_rejected(self):
-        J = algebra.choi_of_unitary(np.eye(2))
+        J = choi_of_unitary(np.eye(2))
         with pytest.raises(ContractViolationError):
-            algebra.process_fidelity(J, 1.01 * J)
+            process_fidelity(J, 1.01 * J)

@@ -65,6 +65,15 @@ class TestParsing:
             config.build_system_config(config.parse_config_text(text))
         assert "alpha_1" in str(err.value)
 
+    @pytest.mark.parametrize("n_max", [0, -1])
+    def test_n_max_below_one_rejected(self, tmp_path, n_max):
+        # rejected at load, before a dataset worker pool could start
+        path = tmp_path / "bad.cfg"
+        path.write_text(GOOD.replace("n_max = 4", f"n_max = {n_max}"))
+        with pytest.raises(InvalidConfigError) as err:
+            config.load_config(str(path))
+        assert "n_max" in str(err.value)
+
     def test_malformed_line(self):
         with pytest.raises(InvalidConfigError):
             config.parse_config_text("dimension = 2\nnonsense\n")

@@ -4,9 +4,11 @@ import json
 import numpy as np
 import pytest
 
-from conftest import gate_cost, make_config
-from qugray import algebra, control, dynamics, graybox, pulses
-from qugray.errors import InvalidConfigError, OptimizationFailure
+from conftest import choi_of_propagators, choi_of_unitary, gate_cost, \
+    make_config, process_fidelity
+from qugray import algebra, config, control, dynamics, graybox, pulses
+from qugray.errors import ContractViolationError, InvalidConfigError, \
+    OptimizationFailure
 
 
 @pytest.fixture(scope="module")
@@ -70,7 +72,7 @@ class TestGateCost:
         targets = control.target_expectations(exact_model, G)
         assert gate_cost(exact_model, theta, targets) < 1e-20
         (fid,) = control.evaluate_fidelity(closed_cfg, [theta], gate)
-        assert fid > 1.0 - 1e-9
+        assert 1.0 - 1e-15 <= fid <= 1.0
 
     def test_positive_away_from_target(self, closed_cfg, exact_model):
         gate = control.parse_gate("X01", 3)
@@ -153,8 +155,55 @@ class TestEvaluateFidelity:
         gate = control.TargetGate("self", G, "subspace")
         (f_closed,) = control.evaluate_fidelity(closed_cfg, [theta], gate)
         (f_noisy,) = control.evaluate_fidelity(noisy_cfg, [theta], gate)
-        assert f_closed > 1.0 - 1e-9
+        assert 1.0 - 1e-15 <= f_closed <= 1.0
         assert f_noisy < f_closed
+
+    @pytest.mark.parametrize("preset", ["qutrit_desk_closed",
+                                        "qutrit_desk_weak",
+                                        "qutrit_desk_strong",
+                                        "qubit_desk_strong"])
+    def test_closed_form_and_choi_oracle(self, preset):
+        # for a unitary target the Choi-state fidelity is the trace overlap
+        # sqrt(mean_r |tr(G^H U_r)|^2) / d; the Choi oracle's PSD square
+        # roots lose ~5e-9 on the noisy ensembles
+        cfg, _ = config.load_config(preset)
+        d = cfg.dim
+        thetas = np.stack([pulses.sample_random_params(
+            d, cfg.n_max, cfg.a_max(), seed).flatten() for seed in (0, 1)])
+        u = dynamics.channel_propagators(cfg, thetas)
+        for name in ("X01", "H01", "sigma_1_0"):
+            G = control.parse_gate(name, d).unitary
+            fids = control.evaluate_fidelity(cfg, thetas, name)
+            for fid, u_stack in zip(fids, u):
+                closed_form = np.sqrt(np.mean(
+                    [abs(np.trace(G.conj().T @ U)) ** 2 for U in u_stack])) / d
+                assert abs(fid - closed_form) <= 1e-14 * closed_form
+                oracle = process_fidelity(choi_of_unitary(G),
+                                          choi_of_propagators(u_stack))
+                assert abs(fid - oracle) <= 1e-8
+
+    def test_non_unitary_target_rejected(self, closed_cfg):
+        gate = control.TargetGate("leaky", 0.9 * np.eye(3), "subspace")
+        with pytest.raises(ContractViolationError):
+            control.evaluate_fidelity(closed_cfg, [np.zeros(40)], gate)
+
+    @pytest.mark.parametrize("noisy", [False, True])
+    def test_rows_alone_equal_the_stack_without_lapack(self, noisy,
+                                                       monkeypatch):
+        cfg = make_config(d=3, steps=160, realizations=8,
+                          g=(0.0, 16.0, 17.45) if noisy else None)
+        thetas = np.random.default_rng(3).uniform(
+            -cfg.a_max(), cfg.a_max(), size=(3, 40))
+        stacked = control.evaluate_fidelity(cfg, thetas, "X01")
+
+        def lapack(*args, **kwargs):
+            raise AssertionError("LAPACK call in evaluate_fidelity")
+
+        for name in ("eigh", "eigvalsh", "svd"):
+            monkeypatch.setattr(np.linalg, name, lapack)
+        assert control.evaluate_fidelity(cfg, thetas, "X01") == stacked
+        assert [control.evaluate_fidelity(cfg, [theta], "X01")[0]
+                for theta in thetas] == stacked
 
     def test_k_eval_override(self):
         # a smaller evaluation ensemble is the config with K replaced

@@ -210,15 +210,14 @@ class TestOracle:
             params = pulses.sample_random_params(3, closed3.n_max,
                                                  closed3.a_max(), seed)
             for j in (0, 4, 7):
-                sh = noiseop.shift_observable(basis3.elements[j],
-                                              style="interior")
+                sh = noiseop.shift_observable(basis3.elements[j])
                 V = dynamics.oracle_noise_operator(closed3, params,
                                                    sh.shifted)
                 assert np.linalg.norm(V - np.eye(3)) < 1e-10
 
     def test_w_hermitian_under_noise(self, noisy3, random_params3, basis3):
         for j in (0, 3, 7):
-            sh = noiseop.shift_observable(basis3.elements[j], style="interior")
+            sh = noiseop.shift_observable(basis3.elements[j])
             V = dynamics.oracle_noise_operator(noisy3, random_params3,
                                                sh.shifted)
             W = sh.shifted @ V

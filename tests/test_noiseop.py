@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 
 from conftest import make_config
 from qugray import dynamics, noiseop, pulses
-from qugray.errors import DomainError, InvalidConfigError, InvertibilityError
+from qugray.errors import DomainError, InvalidConfigError
 
 
 def random_valid_params(d, rng):
@@ -96,7 +96,7 @@ class TestBuildWV:
             psi=np.array([0.0]), x=np.ones(2), p=np.full(2, 0.5))
         W = noiseop.build_W(params)
         np.testing.assert_allclose(W, np.eye(2), atol=1e-15)
-        V = noiseop.build_V(np.eye(2), W)
+        V = np.linalg.solve(np.eye(2), W)
         np.testing.assert_allclose(V, np.eye(2), atol=1e-15)
 
     def test_spectrum_equals_d_entries(self):
@@ -116,29 +116,21 @@ class TestBuildWV:
             assert np.abs(evals).max() <= d + 1e-9
             assert abs(evals.sum()) <= d + 1e-9
 
-    def test_singular_without_shift(self):
-        W = np.eye(3, dtype=complex)
-        with pytest.raises(InvertibilityError):
-            noiseop.build_V(np.diag([1.0, -1.0, 0.0]), W)
-
 
 class TestShift:
-    def test_definite_shift_of_singular_diag(self):
+    def test_interior_shift_of_singular_diag(self):
+        # b = ||O|| / 2 lands between the spectrum's extremes
         O = np.diag([1.0, -1.0, 0.0]).astype(complex)
         sh = noiseop.shift_observable(O)
-        assert sh.a == 1.0 and sh.b == 2.0
+        assert sh.b == 0.5
         np.testing.assert_allclose(np.linalg.eigvalsh(sh.shifted),
-                                   [1.0, 2.0, 3.0], atol=1e-12)
-
-    def test_recover(self):
-        assert noiseop.recover_expectation(2.7, 1.0, 2.0) == pytest.approx(0.7)
+                                   [-0.5, 0.5, 1.5], atol=1e-12)
 
     def test_invertible_untouched(self):
         O = np.diag([1.0, 2.0, -1.0]).astype(complex)
         sh = noiseop.shift_observable(O)
-        assert sh.is_noop
+        assert sh.b == 0.0
         np.testing.assert_array_equal(sh.shifted, O)
-        assert noiseop.recover_expectation(1.23, sh.a, sh.b) == 1.23
 
     def test_zero_rejected(self):
         with pytest.raises(DomainError):
@@ -150,7 +142,7 @@ class TestShift:
         for d in (2, 3, 4, 5):
             basis = dynamics.gell_mann_basis(d)
             for A in basis.elements:
-                sh = noiseop.shift_observable(A, style="interior")
+                sh = noiseop.shift_observable(A)
                 evals = np.linalg.eigvalsh(sh.shifted)
                 assert np.abs(evals).min() > 0
                 assert np.abs(evals).sum() <= d + 1e-12
@@ -167,11 +159,11 @@ class TestShift:
         rng = np.random.default_rng(2)
         for j in (0, 5, 6):
             O = basis.elements[j]
-            sh = noiseop.shift_observable(O, style="interior")
+            sh = noiseop.shift_observable(O)
             V = dynamics.oracle_noise_operator(cfg, params, sh.shifted)
             rho = u0 @ np.diag([0.2, 0.5, 0.3]).astype(complex) @ u0.conj().T
             shifted_e = np.trace(V @ rho @ sh.shifted).real
-            recovered = noiseop.recover_expectation(shifted_e, sh.a, sh.b)
+            recovered = shifted_e - sh.b
             direct = np.mean([np.trace(O @ U @ np.diag([0.2, 0.5, 0.3]) @
                                        U.conj().T).real for U in u_stack])
             assert abs(recovered - direct) < 1e-9
@@ -212,7 +204,7 @@ class TestExtractParams:
         basis = cfg.observable_basis()
         params = pulses.sample_random_params(3, cfg.n_max, cfg.a_max(), 9)
         for j in (1, 6):
-            sh = noiseop.shift_observable(basis.elements[j], style="interior")
+            sh = noiseop.shift_observable(basis.elements[j])
             V = dynamics.oracle_noise_operator(cfg, params, sh.shifted)
             W = sh.shifted @ V
             W = (W + W.conj().T) / 2
